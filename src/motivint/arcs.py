@@ -210,16 +210,24 @@ def measure_total(geom: MonomialGeometry) -> MotiveFrac:
     return _free_factor(geom) * total
 
 
-@lru_cache(maxsize=None)
+# geometry -> [measure_gt(geom, 0), measure_gt(geom, 1), ...], grown on demand
+_measure_levels: dict[MonomialGeometry, list[MotiveFrac]] = {}
+
+
 def measure_gt(geom: MonomialGeometry, i: int) -> MotiveFrac:
-    """The g-twisted measure of arcs from W with ord f > i."""
-    geom.validate()
+    """The g-twisted measure of arcs from W with ord f > i.
+
+    Levels are cached per geometry and computed upward from the highest one
+    cached, each removing the stratum ord f = k from the level below.
+    """
+    levels = _measure_levels.get(geom)
+    if levels is None:
+        levels = _measure_levels[geom] = [measure_total(geom)]
     if i < 0:
         raise GeometryError("contact order must be nonnegative")
-    if i == 0:
-        return measure_total(geom)
-    trivial = Character.trivial()
-    return measure_gt(geom, i - 1) - char_integral(geom, trivial, i)
+    while len(levels) <= i:
+        levels.append(levels[-1] - char_integral(geom, Character.trivial(), len(levels)))
+    return levels[i]
 
 
 @lru_cache(maxsize=None)
@@ -349,11 +357,13 @@ def ts_direct_exp_coefficient(
 
 @dataclass
 class TSReport:
-    """Outcome of comparing the product path against the direct path."""
+    """Both paths' coefficients of f (+) f': rows (i, product, direct, equal), i = 1..i_max."""
 
-    i_max: int
-    failures: list[int]
-    first_mismatch: tuple | None
+    rows: list[tuple[int, UElement, UElement, bool]]
+
+    @property
+    def failures(self) -> list[int]:
+        return [i for i, _product, _direct, equal in self.rows if not equal]
 
     @property
     def ok(self) -> bool:
@@ -364,13 +374,9 @@ def ts_check(left: MonomialGeometry, right: MonomialGeometry, i_max: int) -> TSR
     """Compare exp_coefficient(left) * exp_coefficient(right) with the direct path."""
     if i_max < 1:
         raise GeometryError("i_max must be >= 1")
-    failures = []
-    first = None
+    rows = []
     for i in range(1, i_max + 1):
-        lhs = exp_coefficient(left, i) * exp_coefficient(right, i)
-        rhs = ts_direct_exp_coefficient(left, right, i)
-        if lhs != rhs:
-            failures.append(i)
-            if first is None:
-                first = (i, lhs, rhs)
-    return TSReport(i_max=i_max, failures=failures, first_mismatch=first)
+        product = exp_coefficient(left, i) * exp_coefficient(right, i)
+        direct = ts_direct_exp_coefficient(left, right, i)
+        rows.append((i, product, direct, product == direct))
+    return TSReport(rows)

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .arcs import (
@@ -20,12 +18,11 @@ from .arcs import (
     exp_series,
     measure_gt,
     measure_series,
-    ts_direct_exp_coefficient,
+    ts_check,
     zeta_series,
 )
-from .arcs import exp_coefficient as arc_exp_coefficient
 from .characters import Character
-from .gaussring import u_mul
+from .invariants import gauss_jacobi_residue, run_selftest
 from .jsonio import (
     geometry_from_json,
     geometry_to_json,
@@ -35,20 +32,10 @@ from .jsonio import (
     uelement_to_json,
 )
 from .motives import MotiveFrac
-from .oracles import (
-    PadicContext,
-    ResidueCharacter,
-    check_exp_decomposition,
-    gauss_sum_numeric,
-    jacobi_sum_numeric,
-    phi_indicator_zero,
-    phi_one,
-)
+from .oracles import PadicContext, check_exp_decomposition, phi_indicator_zero, phi_one
 from .polyparse import PolyParseError, parse_poly
-from .selftest import run_selftest
 from .series import exp_t
-from .spectra import GeometryPointError, sg, sp, sp_from_sg
-from .gaussring import UElement
+from .spectra import GeometryPointError, brieskorn_sg, sg, sp, sp_from_sg
 
 _BRIESKORN = re.compile(r"brieskorn\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)$")
 
@@ -88,13 +75,6 @@ def _parse_character(text: str) -> Character:
         return Character.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"invalid character {text!r}: {exc}") from exc
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MOTIVINT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _pretty_frac(x: MotiveFrac) -> str:
@@ -179,10 +159,7 @@ def cmd_spectrum(args) -> int:
         exponents = [int(x) for x in m.group(1).split(",")]
         if any(a < 2 for a in exponents):
             raise CliError("brieskorn exponents must be >= 2")
-        total = UElement.one()
-        for a in exponents:
-            total = u_mul(total, sg(MonomialGeometry.make(1, [a], None, [1])))
-        spectrum = sp_from_sg(total, len(exponents))
+        spectrum = sp_from_sg(brieskorn_sg(exponents), len(exponents))
         echo: object = f"brieskorn({','.join(str(a) for a in exponents)})"
     else:
         geom = _load_geometry(args.geometry)
@@ -201,42 +178,25 @@ def cmd_thom_sebastiani(args) -> int:
     if args.imax < 1:
         raise CliError("--imax must be >= 1")
 
-    def one(i: int):
-        product = u_mul(arc_exp_coefficient(left, i), arc_exp_coefficient(right, i))
-        direct = ts_direct_exp_coefficient(left, right, i)
-        return i, product, direct
-
-    workers = _threads()
-    indices = range(1, args.imax + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(i) for i in indices]
-    coeffs = []
-    all_ok = True
-    for i, product, direct in rows:
-        equal = product == direct
-        all_ok = all_ok and equal
-        coeffs.append(
-            {
-                "i": i,
-                "product": uelement_to_json(product),
-                "direct": uelement_to_json(direct),
-                "equal": equal,
-            }
-        )
+    report = ts_check(left, right, args.imax)
+    coeffs = [
+        {
+            "i": i,
+            "product": uelement_to_json(product),
+            "direct": uelement_to_json(direct),
+            "equal": equal,
+        }
+        for i, product, direct, equal in report.rows
+    ]
     payload = {
         "left": geometry_to_json(left),
         "right": geometry_to_json(right),
         "i_max": args.imax,
         "coefficients": coeffs,
-        "pass": all_ok,
+        "pass": report.ok,
     }
     _emit(payload, args.output)
-    if args.check and not all_ok:
-        return 1
-    return 0
+    return 1 if args.check and not report.ok else 0
 
 
 def cmd_oracle_padic(args) -> int:
@@ -277,21 +237,7 @@ def cmd_oracle_gauss(args) -> int:
         ctx = PadicContext(p, 1)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    chars = [ResidueCharacter(p, 1, k) for k in range(p - 1)]
-    gs = {c.index: gauss_sum_numeric(ctx, c) for c in chars}
-    worst = 0.0
-    pairs = 0
-    for c1 in chars:
-        if not c1.is_trivial():
-            worst = max(worst, abs(gs[c1.index] * gs[c1.inverse().index] - c1.value(p - 1) * p))
-        for c2 in chars:
-            prod = c1 * c2
-            if c1.is_trivial() or c2.is_trivial() or prod.is_trivial():
-                continue
-            j = jacobi_sum_numeric(p, c1, c2)
-            worst = max(worst, abs(gs[c1.index] * gs[c2.index] - j * gs[prod.index]))
-            worst = max(worst, abs(abs(j) - p**0.5))
-            pairs += 1
+    pairs, worst = gauss_jacobi_residue(ctx)
     ok = worst <= 1e-9
     payload = {
         "prime": p,

@@ -199,10 +199,6 @@ class RationalSeries:
     def zero() -> "RationalSeries":
         return RationalSeries()
 
-    @staticmethod
-    def from_poly(poly: dict) -> "RationalSeries":
-        return RationalSeries(poly=poly)
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
@@ -270,11 +266,6 @@ class RationalSeries:
                     if v:
                         acc = acc + _shift(v, n * a)
         return _coerce(acc) if not isinstance(acc, (MotiveFrac, UElement)) else acc
-
-    def support_min(self) -> int | None:
-        cands = list(self.poly)
-        cands.extend(r for (r, _d, _a) in self.terms)
-        return min(cands) if cands else None
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):

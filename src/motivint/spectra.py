@@ -147,6 +147,14 @@ def sp(geom: MonomialGeometry) -> SpectrumPoly:
     return sp_from_sg(sg(geom), geom.m)
 
 
+def brieskorn_sg(exponents) -> UElement:
+    """SG of sum_i x_i^{a_i} as the Gauss-ring product of the one-variable SGs."""
+    total = UElement.one()
+    for a in exponents:
+        total = total * sg(MonomialGeometry.make(1, [a], None, [1]))
+    return total
+
+
 class GeometryPointError(ValueError):
     """Spectrum extraction asked for data that is not supported at the origin."""
 

@@ -1,49 +1,24 @@
 """Acceptance suite: every criterion at full scale, one pass/fail line each.
 
-All identities are exact (rational arithmetic) except the numeric-oracle
-criteria, which carry a 1e-9 tolerance; each criterion also has a runtime
-budget that is asserted.
+Each criterion runs the same check from ``motivint.invariants`` that
+``motivint selftest`` runs at small scale; a check returns None or the first
+failing input.  All identities are exact (rational arithmetic) except the
+numeric-oracle criteria, which carry a 1e-9 tolerance; each criterion also
+has a runtime budget that is asserted.
 """
 
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb
+from itertools import combinations, combinations_with_replacement, product
 
-from motivint.arcs import (
-    MonomialGeometry,
-    big_d,
-    char_integral,
-    exp_coefficient,
-    exp_series,
-    ts_direct_exp_coefficient,
-)
+from motivint import invariants
+from motivint.arcs import MonomialGeometry, big_d
 from motivint.characters import Character
-from motivint.gaussring import UElement, u_mul
-from motivint.motives import MotiveClass, MotiveFrac, jacobi
-from motivint.oracles import (
-    PadicContext,
-    ResidueCharacter,
-    check_exp_decomposition,
-    gauss_sum_numeric,
-    jacobi_sum_numeric,
-    phi_indicator_zero,
-    phi_one,
-)
-from motivint.polyparse import parse_poly
-from motivint.series import (
-    hadamard,
-    lambda_functional,
-    rs_normalize,
-    tau,
-)
-from motivint.spectra import brieskorn_oracle, s_phi, sg, sp_from_sg
+from motivint.oracles import phi_indicator_zero, phi_one
+from motivint.spectra import SpectrumPoly, brieskorn_sg, sp_from_sg
 
-from helpers import all_characters_up_to, random_motive_frac
-
-L = MotiveClass.lpow
-TRIV = Character.trivial()
+from helpers import all_characters_up_to, random_geometry, random_motive_frac
 
 
 def _report(n: int, label: str, t0: float, budget: float) -> None:
@@ -56,74 +31,20 @@ def test_criterion_1_u_ring_laws():
     t0 = time.time()
     rng = random.Random(20240614)
     chars = [c for c in all_characters_up_to(12) if not c.is_trivial()]
-
-    def rand_u():
-        u = UElement(rng.randint(-3, 3))
-        for _ in range(rng.randint(1, 3)):
-            u = u + UElement.from_gauss(rng.choice(chars), rng.randint(-3, 3))
-        return u
-
-    for _ in range(1000):
-        a, b, c = rand_u(), rand_u(), rand_u()
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
+    triples = (tuple(invariants.random_u(rng, chars, 3) for _ in range(3)) for _ in range(1000))
+    assert invariants.u_ring_laws(triples) is None
     _report(1, "U-ring associativity/commutativity on 1000 random triples", t0, 5.0)
 
 
 def test_criterion_2_jacobi_relations():
     t0 = time.time()
-    chars = all_characters_up_to(12)
-    lef = L(1)
-    one = MotiveClass.one()
-    # relations (1)-(3), exhaustively over pairs
-    for a in chars:
-        for b in chars:
-            j = jacobi(a, b)
-            if a.is_trivial() and b.is_trivial():
-                assert j == lef
-            elif a.is_trivial() or b.is_trivial():
-                assert j == MotiveClass.zero()
-            elif (a * b).is_trivial():
-                assert j == MotiveClass.from_scalar(-1)
-            assert j == jacobi(b, a)
-
-    def triple(a1, a2, a3):
-        if not (a1 * a2).is_trivial():
-            eps, delta = MotiveClass.zero(), MotiveClass.zero()
-        elif not a1.is_trivial():
-            eps, delta = one, lef - 1
-        else:
-            eps, delta = one, lef
-        return jacobi(a1, a2) * (jacobi(a1 * a2, a3) - eps) + delta
-
-    cache = {}
-    for a1 in chars:
-        for a2 in chars:
-            for a3 in chars:
-                key = tuple(sorted((a1.value, a2.value, a3.value)))
-                got = triple(a1, a2, a3)
-                want = cache.setdefault(key, got)
-                assert got == want, (a1, a2, a3)
+    assert invariants.jacobi_relations(all_characters_up_to(12)) is None
     _report(2, "Jacobi relations (1)-(4) exhaustive, denominators <= 12", t0, 10.0)
 
 
 def test_criterion_3_finite_field_shadow():
     t0 = time.time()
-    for p in (5, 7, 11, 13):
-        ctx = PadicContext(p, 1)
-        chars = [ResidueCharacter(p, 1, k) for k in range(p - 1)]
-        gs = {c.index: gauss_sum_numeric(ctx, c) for c in chars}
-        for c1 in chars:
-            if not c1.is_trivial():
-                lhs = gs[c1.index] * gs[c1.inverse().index]
-                assert abs(lhs - c1.value(p - 1) * p) <= 1e-9
-            for c2 in chars:
-                prod = c1 * c2
-                if c1.is_trivial() or c2.is_trivial() or prod.is_trivial():
-                    continue
-                j = jacobi_sum_numeric(p, c1, c2)
-                assert abs(gs[c1.index] * gs[c2.index] - j * gs[prod.index]) <= 1e-9
-                assert abs(abs(j) - p**0.5) <= 1e-9
+    assert invariants.finite_field_shadow((5, 7, 11, 13)) is None
     _report(3, "finite-field Gauss/Jacobi relations, p in {5,7,11,13}", t0, 5.0)
 
 
@@ -132,60 +53,34 @@ def test_criterion_4_lambda_multiplicativity_and_tau():
     rng = random.Random(515)
 
     def rand_series():
-        num = {
-            rng.randint(1, 5): random_motive_frac(rng, 1) for _ in range(rng.randint(1, 2))
-        }
-        den = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
-        return rs_normalize(num, den)
+        return invariants.random_series(rng, 5, lambda rng: random_motive_frac(rng, 1))
 
-    for _ in range(200):
-        phi, psi = rand_series(), rand_series()
-        lam = lambda_functional(hadamard(phi, psi))
-        assert lam == -1 * (lambda_functional(phi) * lambda_functional(psi))
+    pairs = ((rand_series(), rand_series()) for _ in range(200))
+    assert invariants.lambda_multiplicativity(pairs) is None
     # tau claim on |i| <= 50 for k <= 6 via the binomial identity
-    for k in range(1, 7):
-        for (r, d, a) in [(0, 1, 0), (1, 1, -1), (1, 2, 1), (2, 3, -2)]:
-            tv = tau(rs_normalize({r: 1}, [(a, d)] * k))
-            for i in range(-50, 51):
-                if (i - r) % d:
-                    assert tv.coefficient(i) == 0
-                    continue
-                n = (i - r) // d
-                coef = (
-                    comb(n + k - 1, k - 1)
-                    if n >= 0
-                    else (-1) ** (k - 1) * comb(-n - 1, k - 1)
-                )
-                assert tv.coefficient(i) == MotiveFrac(L(n * a)) * coef
+    progressions = [(0, 1, 0), (1, 1, -1), (1, 2, 1), (2, 3, -2)]
+    assert invariants.tau_binomial(range(1, 7), progressions, 50) is None
     _report(4, "lambda multiplicativity (200 random) and tau claim |i| <= 50", t0, 30.0)
 
 
 def test_criterion_5_padic_decomposition():
     t0 = time.time()
-    for poly_s in ("x", "x^2", "x^3", "x*y", "x^2+y^3"):
-        f = parse_poly(poly_s)
-        m = max(f.nvars, 1)
-        for p in (3, 5, 7):
-            for i in (0, 1, 2):
-                ctx = PadicContext(p, i + 1)
-                for phi in (phi_one(p, m), phi_indicator_zero(p, m)):
-                    report = check_exp_decomposition(f, ctx, phi, i)
-                    assert report.ok, (poly_s, p, i, report.residue)
+    polys = ("x", "x^2", "x^3", "x*y", "x^2+y^3")
+    phis = (phi_one, phi_indicator_zero)
+    assert invariants.padic_decomposition(polys, (3, 5, 7), (0, 1, 2), phis) is None
     _report(5, "p-adic decomposition over the full matrix, residue <= 1e-9", t0, 120.0)
 
 
 def test_criterion_6_thom_sebastiani_two_paths():
     t0 = time.time()
     twist_configs = [(0, 0), (1, 0), (0, 2), (2, 1)]
-    for a in range(1, 7):
-        for b in range(1, 7):
-            for (cl, cr) in twist_configs:
-                left = MonomialGeometry.make(1, [a], [cl], [1])
-                right = MonomialGeometry.make(1, [b], [cr], [1])
-                for i in range(1, 31):
-                    lhs = u_mul(exp_coefficient(left, i), exp_coefficient(right, i))
-                    rhs = ts_direct_exp_coefficient(left, right, i)
-                    assert lhs == rhs, (a, b, cl, cr, i)
+    cases = [
+        (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]), 30)
+        for a in range(1, 7)
+        for b in range(1, 7)
+        for (cl, cr) in twist_configs
+    ]
+    assert invariants.thom_sebastiani(cases) is None
     _report(
         6,
         "product path equals direct path, pairs a,b <= 6, i <= 30, twists c <= 2",
@@ -201,57 +96,36 @@ def _all_geometries(max_m: int, max_exp: int):
             if not positive:
                 continue
             for r in range(1, len(positive) + 1):
-                from itertools import combinations
-
                 for w in combinations(positive, r):
                     yield MonomialGeometry.make(m, list(exps), None, list(w))
 
 
 def test_criterion_7_exp_series_vs_sg():
     t0 = time.time()
-    count = 0
-    for geom in _all_geometries(3, 6):
-        lam = lambda_functional(exp_series(geom))
-        assert lam == sg(geom).mul_lpow(-geom.m) * (-1), geom
-        count += 1
+    geoms = list(_all_geometries(3, 6))
+    assert invariants.exp_vs_sg(geoms) is None
+    count = len(geoms)
     assert count > 1500
     _report(7, f"lambda(E) = -L^-m SG on {count} geometries (m <= 3, exps <= 6)", t0, 60.0)
 
 
 def test_criterion_8_spectra():
     t0 = time.time()
-
-    def sg_product(exps):
-        total = UElement.one()
-        for a in exps:
-            total = u_mul(total, sg(MonomialGeometry.make(1, [a], None, [1])))
-        return total
-
-    for nvars in (1, 2, 3):
-        for exps in combinations_with_replacement(range(2, 7), nvars):
-            got = sp_from_sg(sg_product(exps), nvars)
-            assert got == brieskorn_oracle(exps), exps
-    from motivint.spectra import SpectrumPoly
-
-    assert sp_from_sg(sg_product([2]), 1) == SpectrumPoly({Fraction(1, 2): 1})
-    assert sp_from_sg(sg_product([2, 3]), 2) == SpectrumPoly(
+    exponent_lists = [
+        exps for nvars in (1, 2, 3) for exps in combinations_with_replacement(range(2, 7), nvars)
+    ]
+    assert invariants.brieskorn_spectra(exponent_lists) is None
+    assert sp_from_sg(brieskorn_sg([2]), 1) == SpectrumPoly({Fraction(1, 2): 1})
+    assert sp_from_sg(brieskorn_sg([2, 3]), 2) == SpectrumPoly(
         {Fraction(5, 6): 1, Fraction(7, 6): 1}
     )
-    assert sp_from_sg(sg_product([2, 2, 2]), 3) == SpectrumPoly({Fraction(3, 2): 1})
+    assert sp_from_sg(brieskorn_sg([2, 2, 2]), 3) == SpectrumPoly({Fraction(3, 2): 1})
     _report(8, "spectra of sums via SG products match the Milnor-basis oracle", t0, 10.0)
 
 
-def test_criterion_9_degenerate_sanity():
-    t0 = time.time()
-    smooth = MonomialGeometry.make(1, [1], None, [1])
-    assert exp_series(smooth).is_zero()
-    for d in range(1, 8):
-        for a in range(d):
-            alpha = Character(Fraction(a, d))
-            assert s_phi(smooth, alpha) == 0
-    rng = random.Random(909)
-    from helpers import random_geometry
-
+def _kill_probes(rng: random.Random):
+    """20 (geometry, character, order) probes on each of 8 random geometries,
+    with characters whose order does not divide big_d."""
     for _ in range(8):
         geom = random_geometry(rng, max_m=3, max_exp=5)
         d = big_d(geom)
@@ -263,5 +137,12 @@ def test_criterion_9_degenerate_sanity():
             if d % alpha.order == 0:
                 continue
             probes += 1
-            assert char_integral(geom, alpha, rng.randint(0, 15)) == 0
+            yield geom, alpha, rng.randint(0, 15)
+
+
+def test_criterion_9_degenerate_sanity():
+    t0 = time.time()
+    chars = [Character(Fraction(a, d)) for d in range(1, 8) for a in range(d)]
+    assert invariants.smooth_vanishing(chars) is None
+    assert invariants.character_kill(_kill_probes(random.Random(909))) is None
     _report(9, "degenerate sanity: zero series, smooth vanishing, character kill", t0, 30.0)

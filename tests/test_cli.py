@@ -96,6 +96,18 @@ def test_measure_and_sg(tmp_path, capsys):
     assert motive_frac_from_json(coeff) == MotiveFrac.one()
 
 
+def test_measure_gt_deep_level_matches_series(tmp_path, capsys):
+    # the tail measure far out is computed level by level without recursion
+    from motivint.arcs import MonomialGeometry, measure_series
+    from motivint.jsonio import motive_frac_from_json
+
+    geom = write_geom(tmp_path, "x2.json", X2)
+    code, payload = run_cli(capsys, "measure", "--geometry", geom, "--gt", "3000")
+    assert code == 0
+    want = measure_series(MonomialGeometry.make(1, [2], None, [1])).coefficient(3000)
+    assert motive_frac_from_json(payload["measure_gt"]) == want
+
+
 def test_exp_series_command(tmp_path, capsys):
     geom = write_geom(tmp_path, "x2.json", X2)
     code, payload = run_cli(capsys, "exp-series", "--geometry", geom)
@@ -150,29 +162,15 @@ def test_output_deterministic(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_thom_sebastiani_threaded_matches(tmp_path, capsys, monkeypatch):
-    left = write_geom(tmp_path, "x2.json", X2)
-    right = write_geom(tmp_path, "y3.json", Y3)
-    code, serial = run_cli(
-        capsys, "thom-sebastiani", "--left", left, "--right", right, "--imax", "6"
-    )
-    monkeypatch.setenv("MOTIVINT_THREADS", "3")
-    code2, threaded = run_cli(
-        capsys, "thom-sebastiani", "--left", left, "--right", right, "--imax", "6"
-    )
-    assert code == code2 == 0
-    assert serial == threaded
-
-
 def test_thom_sebastiani_check_exit_code_on_mismatch(tmp_path, capsys, monkeypatch):
     # fault injection: a corrupted direct path must flip the exit code to 1
-    import motivint.cli as cli_mod
+    import motivint.arcs as arcs_mod
     from motivint.gaussring import UElement
 
     left = write_geom(tmp_path, "x2.json", X2)
     right = write_geom(tmp_path, "y3.json", Y3)
     monkeypatch.setattr(
-        cli_mod, "ts_direct_exp_coefficient", lambda l, r, i: UElement(7)
+        arcs_mod, "ts_direct_exp_coefficient", lambda l, r, i: UElement(7)
     )
     code, payload = run_cli(
         capsys, "thom-sebastiani", "--left", left, "--right", right, "--check", "--imax", "3"
@@ -191,3 +189,33 @@ def test_emitted_json_reparses(tmp_path, capsys):
     back = series_from_json(payload["series"], uelement_from_json)
     geom = MonomialGeometry.make(1, [2], None, [1])
     assert back == exp_series(geom)
+
+
+SELFTEST_CHECKS = [
+    "u-ring-laws",
+    "jacobi-relations",
+    "finite-field-shadow",
+    "lambda-multiplicativity",
+    "tau-claim",
+    "padic-decomposition",
+    "thom-sebastiani",
+    "exp-vs-sg",
+    "spectra-brieskorn",
+    "degenerate-sanity",
+]
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"ok   {name}" for name in SELFTEST_CHECKS]
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    # fault injection: a check returning a failing input flips its line and the exit code
+    import motivint.invariants as invariants
+
+    monkeypatch.setattr(invariants, "tau_binomial", lambda ks, progressions, window: (1, (0, 1, 0), 0))
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'FAIL' if name == 'tau-claim' else 'ok  '} {name}" for name in SELFTEST_CHECKS
+    ]

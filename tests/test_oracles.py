@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from motivint.invariants import gauss_jacobi_residue
 from motivint.oracles import (
     PadicContext,
     ResidueCharacter,
@@ -96,19 +97,8 @@ def test_jacobi_sum_examples():
 
 def test_gauss_jacobi_relations():
     for p in (5, 7):
-        ctx = PadicContext(p, 1)
-        chars = [ResidueCharacter(p, 1, k) for k in range(p - 1)]
-        gs = {c.index: gauss_sum_numeric(ctx, c) for c in chars}
-        for c1 in chars:
-            if not c1.is_trivial():
-                lhs = gs[c1.index] * gs[c1.inverse().index]
-                assert abs(lhs - c1.value(p - 1) * p) < TOL
-            for c2 in chars:
-                prod = c1 * c2
-                if c1.is_trivial() or c2.is_trivial() or prod.is_trivial():
-                    continue
-                j = jacobi_sum_numeric(p, c1, c2)
-                assert abs(gs[c1.index] * gs[c2.index] - j * gs[prod.index]) < TOL
+        pairs, worst = gauss_jacobi_residue(PadicContext(p, 1))
+        assert pairs and worst < TOL
 
 
 def test_decomposition_examples():

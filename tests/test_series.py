@@ -1,8 +1,8 @@
 import random
-from math import comb
 
 import pytest
 
+from motivint.invariants import tau_binomial
 from motivint.motives import MotiveClass, MotiveFrac
 from motivint.series import (
     RationalSeries,
@@ -103,20 +103,7 @@ def test_tau_double_pole_all_integers():
 
 def test_tau_binomial_identity_window():
     # coefficients for negative n follow binom(k-m-1, k-1) = (-1)^{k-1} binom(m-1, k-1)
-    for k in range(1, 7):
-        for (r, d, a) in [(0, 1, 0), (1, 1, -1), (2, 3, 2)]:
-            s = rs_normalize({r: 1}, [(a, d)] * k)
-            tv = tau(s)
-            for i in range(-50, 51):
-                if (i - r) % d:
-                    assert tv.coefficient(i) == 0
-                    continue
-                n = (i - r) // d
-                if n >= 0:
-                    coef = comb(n + k - 1, k - 1)
-                else:
-                    coef = (-1) ** (k - 1) * comb(-n - 1, k - 1)
-                assert tv.coefficient(i) == lfrac(n * a) * coef
+    assert tau_binomial(range(1, 7), [(0, 1, 0), (1, 1, -1), (2, 3, 2)], 50) is None
 
 
 def test_tau_equals_difference_of_expansions():
