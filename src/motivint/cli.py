@@ -32,7 +32,13 @@ from .jsonio import (
     uelement_to_json,
 )
 from .motives import MotiveFrac
-from .oracles import PadicContext, check_exp_decomposition, phi_indicator_zero, phi_one
+from .oracles import (
+    PadicContext,
+    check_enumeration,
+    check_exp_decomposition,
+    phi_indicator_zero,
+    phi_one,
+)
 from .polyparse import PolyParseError, parse_poly
 from .series import exp_t
 from .spectra import GeometryPointError, brieskorn_sg, sg, sp, sp_from_sg
@@ -207,13 +213,14 @@ def cmd_oracle_padic(args) -> int:
     if args.level < 0:
         raise CliError("--level must be nonnegative")
     precision = args.precision if args.precision is not None else args.level + 1
+    m = max(f.nvars, 1)
     try:
+        check_enumeration(args.prime, precision, m)
         ctx = PadicContext(args.prime, precision)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if precision < args.level + 1:
         raise CliError("--precision must be at least level + 1")
-    m = max(f.nvars, 1)
     phi = phi_one(ctx.p, m) if args.phi == "one" else phi_indicator_zero(ctx.p, m)
     report = check_exp_decomposition(f, ctx, phi, args.level)
     payload = {

@@ -189,7 +189,10 @@ def thom_sebastiani(cases):
 
 
 def exp_vs_sg(geoms):
-    """lambda(E) = -L^-m SG for the exponential series E of each geometry."""
+    """lambda(E) = -L^-m SG for the exponential series E of each geometry.
+
+    Two paths: lambda of the closed form of E, against SG read off the T^0
+    slice of the unreduced zeta fraction."""
     for geom in geoms:
         if lambda_functional(exp_series(geom)) != sg(geom).mul_lpow(-geom.m) * (-1):
             return geom

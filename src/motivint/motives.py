@@ -167,6 +167,11 @@ class MotiveClass:
         """Multiply by L^k (shift both gradings by k)."""
         if not k:
             return self
+        if type(k) is int:
+            # stored exponents are already normalized, and adding an int keeps them so
+            return MotiveClass(
+                {(p + k, q + k): c for (p, q), c in self.terms.items()}, _validated=True
+            )
         return MotiveClass(
             {(_ex(p + k), _ex(q + k)): c for (p, q), c in self.terms.items()},
             _validated=True,

@@ -319,12 +319,19 @@ class RationalSeries:
 # ---------------------------------------------------------------------------
 
 
-def rs_normalize(num: dict, den: list[tuple[int, int]]) -> RationalSeries:
-    """Canonicalize num / prod (1 - L^a T^b) into a RationalSeries.
+def _lifted_numerator(num: dict, den: list, residue_zero: bool = False):
+    """rs_normalize's preamble: num over factors that all share one step.
 
     ``num`` maps T-exponents to coefficients; each (a, b) in ``den`` is a
     factor 1 - L^a T^b with b != 0 (negative b is converted by the unit
-    rewrite 1 - L^a T^-b' = -L^a T^-b' (1 - L^-a T^b')).
+    rewrite 1 - L^a T^-b' = -L^a T^-b' (1 - L^-a T^b')).  With d the lcm of
+    the steps, each factor is lifted to 1 - L^{ak} T^d, k = d/b, by
+    multiplying num by 1 + L^a T^b + ... + L^{a(k-1)} T^{b(k-1)}.
+
+    Returns (work, exps, d): the lifted numerator, the sorted exponents ak
+    and the common step (exps empty and d = 1 without factors or with a
+    zero numerator).  With ``residue_zero`` the last lift keeps only the
+    exponents divisible by d, which is all lambda_of_fraction reads.
     """
     work = {int(i): _coerce(c) for i, c in num.items() if _coerce(c)}
     factors: list[tuple[int, int]] = []
@@ -336,22 +343,28 @@ def rs_normalize(num: dict, den: list[tuple[int, int]]) -> RationalSeries:
             work = {i - b: -_shift(c, -a) for i, c in work.items()}
             a, b = -a, -b
         factors.append((a, b))
-    if not work:
-        return RationalSeries.zero()
-    if not factors:
-        return RationalSeries(poly=work)
+    if not work or not factors:
+        return work, [], 1
 
-    # common step
     d = 1
     for (_a, b) in factors:
         d = d * b // gcd(d, b)
+    last = max((n for n, (_a, b) in enumerate(factors) if b != d), default=-1)
     exps = []
-    for (a, b) in factors:
+    for n, (a, b) in enumerate(factors):
         k = d // b
         if k > 1:
+            keep_zero = residue_zero and n == last
             nxt: dict = {}
             for i, c in work.items():
-                for j in range(k):
+                if keep_zero:
+                    # the one j with i + b j = 0 (mod d), if any
+                    if i % b:
+                        continue
+                    js: range | tuple = ((-i // b) % k,)
+                else:
+                    js = range(k)
+                for j in js:
                     key = i + b * j
                     v = nxt.get(key, 0) + (_shift(c, a * j) if j else c)
                     if v:
@@ -361,13 +374,45 @@ def rs_normalize(num: dict, den: list[tuple[int, int]]) -> RationalSeries:
             work = nxt
         exps.append(a * k)
     exps.sort()
+    return work, exps, d
 
+
+def rs_normalize(num: dict, den: list[tuple[int, int]]) -> RationalSeries:
+    """Canonicalize num / prod (1 - L^a T^b) into a RationalSeries.
+
+    ``num`` maps T-exponents to coefficients; each (a, b) in ``den`` is a
+    factor 1 - L^a T^b with b != 0 (see _lifted_numerator).
+    """
+    work, exps, d = _lifted_numerator(num, den)
+    if not work:
+        return RationalSeries.zero()
+    if not exps:
+        return RationalSeries(poly=work)
     out = RationalSeries()
     for r in range(d):
         num_s = {(i - r) // d: c for i, c in work.items() if (i - r) % d == 0}
         if num_s:
             _reduce_single_step(out, num_s, exps, r, d)
     return out
+
+
+def lambda_of_fraction(num: dict, den: list[tuple[int, int]]):
+    """lambda_functional(rs_normalize(num, den)), without building the series.
+
+    A canonical term has offset 0 <= r < d, so lambda is the T^0 coefficient
+    of the Laurent part, and only the residue class r = 0 of the common step
+    writes there (through _add_term's reindexing corrections).  That slice
+    alone goes through the same operations in the same order as in
+    rs_normalize, so the value is identical, denominators included.
+    """
+    work, exps, d = _lifted_numerator(num, den, residue_zero=True)
+    if not exps:
+        return lambda_functional(RationalSeries(poly=work))
+    out = RationalSeries()
+    num_s = {i // d: c for i, c in work.items() if i % d == 0}
+    if num_s:
+        _reduce_single_step(out, num_s, exps, 0, d)
+    return lambda_functional(out)
 
 
 def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d: int) -> None:
@@ -485,19 +530,12 @@ def _crt(r1: int, d1: int, r2: int, d2: int):
 def lambda_functional(series: RationalSeries):
     """Constant term of the expansion at T = infinity of the same rational function.
 
-    Equals the constant coefficient of the Laurent part minus the tau-extension
-    evaluated at the negative index hit by each term (difference of the two
-    expansions); canonical terms only contribute through their corrections.
+    That expansion is the Laurent part minus the tau-extension of each term
+    to n < 0.  A canonical term meets T^0 only at n0 = -r/d, and its offset
+    satisfies 0 <= r < d, so n0 is never negative: the constant term is the
+    Laurent part's T^0 coefficient.
     """
-    acc = series.poly.get(0, 0)
-    for (r, d, a), npoly in series.terms.items():
-        if (-r) % d == 0:
-            n0 = -r // d
-            if n0 < 0:
-                v = _poly_eval(npoly, n0)
-                if v:
-                    acc = acc - _shift(v, n0 * a)
-    return _coerce(acc) if not isinstance(acc, (MotiveFrac, UElement)) else acc
+    return _coerce(series.poly.get(0, 0))
 
 
 # ---------------------------------------------------------------------------

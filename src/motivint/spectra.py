@@ -17,13 +17,22 @@ from math import gcd
 from .arcs import (
     MonomialGeometry,
     _diag_fermat_sum,
+    _passes,
+    _zeta_fraction,
     measure_series,
     zeta_series,
 )
 from .characters import Character, characters_of_order_dividing, gamma
 from .gaussring import UElement, sg_decompose
 from .motives import MotiveClass, MotiveFrac
-from .series import RationalSeries, hadamard, lambda_functional, multiply, rs_normalize
+from .series import (
+    RationalSeries,
+    hadamard,
+    lambda_functional,
+    lambda_of_fraction,
+    multiply,
+    rs_normalize,
+)
 
 
 class SpectrumPoly:
@@ -84,10 +93,23 @@ def chi_c_w(geom: MonomialGeometry) -> MotiveClass:
     return total
 
 
+def _psi_class(geom: MonomialGeometry) -> MotiveFrac:
+    """The nearby-cycle class shared by every character that meets f.
+
+    L^m/(1-L) times the T = infinity constant term of the zeta series,
+    read off the T^0 slice of its unreduced fraction.
+    """
+    num, den = _zeta_fraction(geom)
+    lam = lambda_of_fraction(dict(num), list(den))
+    return -(lam.mul_lpow(geom.m).div_lpow_diff(1, 0))
+
+
 def s_psi(geom: MonomialGeometry, alpha: Character) -> MotiveFrac:
     """Nearby-cycle class: L^m/(1-L) times the T=infinity constant term of the zeta series."""
-    lam = lambda_functional(zeta_series(geom, alpha))
-    return -(lam.mul_lpow(geom.m).div_lpow_diff(1, 0))
+    geom.validate()
+    if not _passes(geom, alpha):
+        return MotiveFrac.zero()
+    return _psi_class(geom)
 
 
 def s_phi(geom: MonomialGeometry, alpha: Character) -> MotiveFrac:
@@ -99,15 +121,14 @@ def s_phi(geom: MonomialGeometry, alpha: Character) -> MotiveFrac:
 
 
 def sg(geom: MonomialGeometry) -> UElement:
-    """The Gauss-twisted vanishing-cycle sum over all contributing characters."""
-    gauss = {}
-    for alpha in geom.characters():
-        if alpha.is_trivial():
-            continue
-        c = s_phi(geom, alpha)
-        if c:
-            gauss[alpha.inverse()] = c
-    return UElement(-s_phi(geom, Character.trivial()), gauss)
+    """The Gauss-twisted vanishing-cycle sum over all contributing characters.
+
+    Every character of the geometry meets f, so all share one s_psi.
+    """
+    geom.validate()
+    psi = _psi_class(geom)
+    gauss = {alpha.inverse(): psi for alpha in geom.characters() if not alpha.is_trivial()}
+    return UElement(-(psi - chi_c_w(geom)), gauss)
 
 
 def sp_from_sg(element: UElement, m: int) -> SpectrumPoly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import pi
 
 from motivint.arcs import MonomialGeometry
@@ -146,3 +146,25 @@ def random_geometry(rng: random.Random, max_m: int = 3, max_exp: int = 5) -> Mon
     w = rng.sample(positive, k)
     g_exp = [rng.choice([0, 0, 1, 2]) for _ in range(m)]
     return MonomialGeometry.make(m, f_exp, g_exp, w)
+
+
+def all_geometries(max_m: int, max_exp: int):
+    """Every untwisted geometry with m <= max_m, exponents <= max_exp and every W."""
+    for m in range(1, max_m + 1):
+        for exps in product(range(max_exp + 1), repeat=m):
+            positive = [j + 1 for j, n in enumerate(exps) if n >= 1]
+            if not positive:
+                continue
+            for r in range(1, len(positive) + 1):
+                for w in combinations(positive, r):
+                    yield MonomialGeometry.make(m, list(exps), None, list(w))
+
+
+def twisted_geometries(rng: random.Random, count: int):
+    """Random geometries with a nonzero twist g, m <= 3 and exponents <= 5."""
+    out = []
+    while len(out) < count:
+        geom = random_geometry(rng, max_m=3, max_exp=5)
+        if any(geom.g_exponents):
+            out.append(geom)
+    return out

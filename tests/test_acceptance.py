@@ -10,7 +10,7 @@ has a runtime budget that is asserted.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from motivint import invariants
 from motivint.arcs import MonomialGeometry, big_d
@@ -18,7 +18,7 @@ from motivint.characters import Character
 from motivint.oracles import phi_indicator_zero, phi_one
 from motivint.spectra import SpectrumPoly, brieskorn_sg, sp_from_sg
 
-from helpers import all_characters_up_to, random_geometry, random_motive_frac
+from helpers import all_characters_up_to, all_geometries, random_geometry, random_motive_frac
 
 
 def _report(n: int, label: str, t0: float, budget: float) -> None:
@@ -89,20 +89,9 @@ def test_criterion_6_thom_sebastiani_two_paths():
     )
 
 
-def _all_geometries(max_m: int, max_exp: int):
-    for m in range(1, max_m + 1):
-        for exps in product(range(max_exp + 1), repeat=m):
-            positive = [j + 1 for j, n in enumerate(exps) if n >= 1]
-            if not positive:
-                continue
-            for r in range(1, len(positive) + 1):
-                for w in combinations(positive, r):
-                    yield MonomialGeometry.make(m, list(exps), None, list(w))
-
-
 def test_criterion_7_exp_series_vs_sg():
     t0 = time.time()
-    geoms = list(_all_geometries(3, 6))
+    geoms = list(all_geometries(3, 6))
     assert invariants.exp_vs_sg(geoms) is None
     count = len(geoms)
     assert count > 1500

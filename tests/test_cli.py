@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from motivint.cli import main
 
@@ -124,6 +127,17 @@ def test_oracle_padic(capsys):
     assert payload["residue"] <= 1e-9
 
 
+def test_oracle_padic_rejects_oversized_enumeration(capsys):
+    # 5^(30*2) points: refused before any enumeration starts
+    code, payload = run_cli(
+        capsys,
+        "oracle", "padic", "--poly", "x^2+y^3", "--prime", "5", "--level", "0",
+        "--precision", "30",
+    )
+    assert code == 2
+    assert "exceeds the limit" in payload["error"]
+
+
 def test_oracle_padic_rejects_bad_poly(capsys):
     code, payload = run_cli(
         capsys, "oracle", "padic", "--poly", "x^^2", "--prime", "5", "--level", "0"
@@ -219,3 +233,31 @@ def test_selftest_reports_a_failing_check(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         f"{'FAIL' if name == 'tau-claim' else 'ok  '} {name}" for name in SELFTEST_CHECKS
     ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, command, code",
+    [
+        ("x2y3", "sg", 0),
+        ("x2y3", "spectrum", 0),
+        ("w_inside_3var", "sg", 0),
+        ("w_inside_3var", "spectrum", 2),
+        ("twisted", "sg", 0),
+        ("twisted", "spectrum", 0),
+    ],
+)
+def test_sg_spectrum_golden_bytes(tmp_path, capsys, name, command, code):
+    # outputs recorded from the closed-form SG route: x^2 y^3 at the origin,
+    # f = x^2 y^4 z^2 with W = {x = 0} u {y = 0} inside the support, and a
+    # twisted origin geometry
+    geom = str(GOLDEN / f"{name}.geometry.json")
+    want = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
+    assert main([command, "--geometry", geom]) == code
+    assert capsys.readouterr().out == want
+    if code == 0:
+        out = tmp_path / "out.json"
+        assert main([command, "--geometry", geom, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want

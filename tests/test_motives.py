@@ -62,6 +62,16 @@ def test_class_embeds_with_empty_denominator():
     assert x.as_class() == L(2) - 3
 
 
+def test_shift_keeps_exponents_normalized():
+    half = Fraction(1, 2)
+    x = MotiveClass({(half, half): 3, (1, 0): -1})
+    for k in (2, Fraction(2), -1):
+        terms = x.shift(k).terms
+        assert terms == {(half + k, half + k): 3, (1 + k, k): -1}
+        assert all(type(p) is int and type(q) is int for (p, q) in terms if p == int(p))
+    assert x.shift(half).terms == {(1, 1): 3, (Fraction(3, 2), half): -1}
+
+
 def test_exact_division():
     assert divide_by_l_diff(L(3) - L(1), 2, 0) == L(1)
     assert divide_by_l_diff(L(1) - 1, 1, 0) == MotiveClass.one()

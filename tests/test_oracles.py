@@ -4,9 +4,11 @@ import pytest
 
 from motivint.invariants import gauss_jacobi_residue
 from motivint.oracles import (
+    MAX_ENUMERATION_POINTS,
     PadicContext,
     ResidueCharacter,
     characters_mod,
+    check_enumeration,
     check_exp_decomposition,
     gauss_sum_numeric,
     jacobi_sum_numeric,
@@ -27,6 +29,16 @@ def test_padic_context_validation():
         PadicContext(9, 1)
     with pytest.raises(ValueError):
         PadicContext(5, 0)
+
+
+def test_enumeration_cap():
+    check_enumeration(10, 3, 2)  # exactly MAX_ENUMERATION_POINTS
+    assert 10 ** (3 * 2) == MAX_ENUMERATION_POINTS
+    for p, precision, m in ((10, 7, 1), (5, 30, 2), (3, 10**12, 1), (10**12 + 39, 1, 1)):
+        with pytest.raises(ValueError):
+            check_enumeration(p, precision, m)
+    with pytest.raises(ValueError):
+        padic_exp_integral(parse_poly("x*y"), PadicContext(3, 13), phi_one(3, 2), 0)
 
 
 def test_residue_character_basics():

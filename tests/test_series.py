@@ -3,6 +3,7 @@ import random
 import pytest
 
 from motivint.invariants import tau_binomial
+from motivint.jsonio import motive_frac_to_json
 from motivint.motives import MotiveClass, MotiveFrac
 from motivint.series import (
     RationalSeries,
@@ -11,6 +12,7 @@ from motivint.series import (
     expand_fraction_at_infinity,
     hadamard,
     lambda_functional,
+    lambda_of_fraction,
     multiply,
     rs_normalize,
     tau,
@@ -172,6 +174,22 @@ def test_lambda_fractional_offset_has_no_tail():
     # a term hitting no integer n at T^0 contributes only its Laurent corrections
     s = rs_normalize({1: 1}, [(2, 2)])  # T/(1 - L^2 T^2): offsets 1 mod 2
     assert lambda_functional(s) == 0
+
+
+def test_lambda_of_fraction_matches_closed_form_bytes():
+    # coefficients with mixed denominators, factors with b < 0 and unequal
+    # steps (so the numerator is lifted); the long division at infinity is
+    # an independent third path
+    rng = random.Random(2718)
+    for _ in range(80):
+        num = {rng.randint(-4, 8): random_motive_frac(rng, 2) for _ in range(rng.randint(0, 4))}
+        den = []
+        for _ in range(rng.randint(0, 4)):
+            den.append((rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 3, 4, 6])))
+        got = lambda_of_fraction(num, den)
+        want = lambda_functional(rs_normalize(num, den))
+        assert motive_frac_to_json(got) == motive_frac_to_json(want), (num, den)
+        assert got == expand_fraction_at_infinity(num, den, 0, 0)[0], (num, den)
 
 
 def test_lambda_multiplicativity_random():

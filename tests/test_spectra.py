@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from motivint.arcs import MonomialGeometry, exp_series
+from motivint.arcs import MonomialGeometry, _zeta_fraction, exp_series, zeta_series
 from motivint.characters import Character
 from motivint.gaussring import UElement, u_mul
 from motivint.invariants import brieskorn_spectra
+from motivint.jsonio import motive_frac_to_json
 from motivint.motives import MotiveClass, MotiveFrac
 from motivint.series import lambda_functional
 from motivint.spectra import (
@@ -45,6 +46,36 @@ def test_s_psi_examples():
         geom = MonomialGeometry.make(1, [a], None, [1])
         assert s_psi(geom, alpha) == 1
     assert s_psi(X2, THIRD) == 0
+
+
+def test_s_psi_matches_closed_form_route_bytes():
+    # the old route: lambda of the closed-form zeta series
+    from helpers import all_geometries, twisted_geometries
+
+    geoms = list(all_geometries(3, 6))[::15] + twisted_geometries(random.Random(31), 40)
+    for geom in geoms:
+        for alpha in (TRIV, HALF, THIRD):
+            lam = lambda_functional(zeta_series(geom, alpha))
+            want = -(lam.mul_lpow(geom.m).div_lpow_diff(1, 0))
+            assert motive_frac_to_json(s_psi(geom, alpha)) == motive_frac_to_json(want), (
+                geom,
+                alpha,
+            )
+
+
+def test_s_psi_from_limit_at_infinity():
+    # the paper's definition: the limit of Z(T) at T = infinity is the ratio of
+    # the leading coefficients of its fraction, num[sum b] / prod(-L^a), or 0
+    from helpers import all_geometries, twisted_geometries
+
+    geoms = list(all_geometries(3, 6)) + twisted_geometries(random.Random(32), 200)
+    for geom in geoms:
+        num, den = _zeta_fraction(geom)
+        limit = dict(num).get(sum(b for _a, b in den), MotiveFrac.zero())
+        for a, _b in den:
+            limit = limit * MotiveFrac(L(-a) * -1)
+        want = limit.mul_lpow(geom.m) * MotiveFrac(MotiveClass.one(), [(0, 1)])
+        assert s_psi(geom, TRIV) == want, geom
 
 
 def test_s_phi_examples():
