@@ -20,6 +20,8 @@ def _ex(x):
     """Normalize an exponent/coefficient to int when integral (cheaper arithmetic)."""
     if isinstance(x, int):
         return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
@@ -75,22 +77,24 @@ class MotiveClass:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _as_class(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MotiveClass:
+            other = _as_class(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
+            s = get(k, 0) + c
             if s == 0:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return MotiveClass(out, _validated=True)
+        return _class(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotiveClass({k: -c for k, c in self.terms.items()}, _validated=True)
+        return _class({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _as_class(other)
@@ -106,38 +110,34 @@ class MotiveClass:
             c = _ex(other)
             if c == 0:
                 return MotiveClass.zero()
-            return MotiveClass({k: v * c for k, v in self.terms.items()}, _validated=True)
+            return _class({k: v * c for k, v in self.terms.items()})
         if not isinstance(other, MotiveClass):
             return NotImplemented
         a, b = self.terms, other.terms
         if len(a) == 1:
             ((p1, q1), c1) = next(iter(a.items()))
             if type(p1) is int and type(q1) is int:
-                return MotiveClass(
-                    {(p2 + p1, q2 + q1): c2 * c1 for (p2, q2), c2 in b.items()},
-                    _validated=True,
-                )
+                return _class({(p2 + p1, q2 + q1): c2 * c1 for (p2, q2), c2 in b.items()})
         if len(b) == 1:
             ((p2, q2), c2) = next(iter(b.items()))
             if type(p2) is int and type(q2) is int:
-                return MotiveClass(
-                    {(p1 + p2, q1 + q2): c1 * c2 for (p1, q1), c1 in a.items()},
-                    _validated=True,
-                )
+                return _class({(p1 + p2, q1 + q2): c1 * c2 for (p1, q1), c1 in a.items()})
         out = {}
+        get = out.get
+        b_items = [(p2, q2, c2, type(p2) is int and type(q2) is int) for (p2, q2), c2 in b.items()]
         for (p1, q1), c1 in a.items():
             int1 = type(p1) is int and type(q1) is int
-            for (p2, q2), c2 in b.items():
-                if int1 and type(p2) is int and type(q2) is int:
+            for p2, q2, c2, int2 in b_items:
+                if int1 and int2:
                     k = (p1 + p2, q1 + q2)
                 else:
                     k = (_ex(p1 + p2), _ex(q1 + q2))
-                s = out.get(k, 0) + c1 * c2
+                s = get(k, 0) + c1 * c2
                 if s == 0:
                     out.pop(k, None)
                 else:
                     out[k] = s
-        return MotiveClass(out, _validated=True)
+        return _class(out)
 
     __rmul__ = __mul__
 
@@ -169,9 +169,7 @@ class MotiveClass:
             return self
         if type(k) is int:
             # stored exponents are already normalized, and adding an int keeps them so
-            return MotiveClass(
-                {(p + k, q + k): c for (p, q), c in self.terms.items()}, _validated=True
-            )
+            return _class({(p + k, q + k): c for (p, q), c in self.terms.items()})
         return MotiveClass(
             {(_ex(p + k), _ex(q + k)): c for (p, q), c in self.terms.items()},
             _validated=True,
@@ -201,6 +199,13 @@ class MotiveClass:
             else:
                 bits.append(f"{c}*u^{p}*v^{q}")
         return " + ".join(bits)
+
+
+def _class(terms: dict) -> MotiveClass:
+    """Internal: wrap an already-normalized term map."""
+    out = object.__new__(MotiveClass)
+    out.terms = terms
+    return out
 
 
 def _as_class(x):
@@ -273,7 +278,7 @@ class MotiveFrac:
         """Internal: build from an already-sorted denominator tuple."""
         out = MotiveFrac.__new__(MotiveFrac)
         out.num = num
-        out.den = den if num else ()
+        out.den = den if num.terms else ()
         out._den_cls = None
         return out
 
@@ -298,19 +303,24 @@ class MotiveFrac:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _as_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MotiveFrac:
+            other = _as_frac(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.den == other.den:
             return MotiveFrac._fast(self.num + other.num, self.den)
-        if not self.num:
+        if not self.num.terms:
             return other
-        if not other.num:
+        if not other.num.terms:
             return self
         common = _multiset_union(self.den, other.den)
-        lift_l = _product(_multiset_sub(common, self.den))
-        lift_r = _product(_multiset_sub(common, other.den))
-        return MotiveFrac._fast(self.num * lift_l + other.num * lift_r, common)
+        left = self.num
+        if common != self.den:
+            left = left * _product(_multiset_sub(common, self.den))
+        right = other.num
+        if common != other.den:
+            right = right * _product(_multiset_sub(common, other.den))
+        return MotiveFrac._fast(left + right, common)
 
     __radd__ = __add__
 
@@ -364,7 +374,7 @@ class MotiveFrac:
         return hash(bool(self.num))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.terms)
 
     def as_class(self) -> MotiveClass:
         """Clear the denominator by exact division; raises ValueError if inexact."""
@@ -395,11 +405,28 @@ def _as_frac(x):
 
 
 def _multiset_union(a: tuple, b: tuple) -> tuple:
+    """Union with maximal multiplicities of two sorted factor tuples (a merge)."""
+    if not a or a == b:
+        return b
+    if not b:
+        return a
     out = []
-    ca = {k: a.count(k) for k in set(a)}
-    cb = {k: b.count(k) for k in set(b)}
-    for k in sorted(set(ca) | set(cb)):
-        out.extend([k] * max(ca.get(k, 0), cb.get(k, 0)))
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x == y:
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
     return tuple(out)
 
 

@@ -15,10 +15,18 @@ nearby/vanishing-cycle extraction needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, factorial
+from functools import lru_cache
+from math import comb, factorial, floor, gcd
 
 from .gaussring import UElement
-from .motives import MotiveClass, MotiveFrac
+from .motives import (
+    MotiveClass,
+    MotiveFrac,
+    _multiset_sub,
+    _multiset_union,
+    _product,
+    divide_by_l_diff,
+)
 
 
 def _coerce(c):
@@ -55,9 +63,10 @@ def _poly_trim(p: list) -> list:
 
 
 def _poly_add(p: list, q: list) -> list:
-    out = list(p) if len(p) >= len(q) else list(p) + [0] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
+    n = min(len(p), len(q))
+    out = list(p) if len(p) >= len(q) else list(p) + q[n:]  # 0 + c is c
+    for i in range(n):
+        out[i] = out[i] + q[i]
     return _poly_trim(out)
 
 
@@ -82,8 +91,10 @@ def _poly_mul(p: list, q: list) -> list:
 
 
 def _poly_eval(p: list, n: int):
-    acc = 0
-    for c in reversed(p):
+    if not p:
+        return 0
+    acc = p[-1]
+    for c in reversed(p[:-1]):
         acc = acc * n + c
     return acc
 
@@ -99,9 +110,9 @@ def _poly_compose_affine(p: list, k: int, j: int) -> list:
             if w == 0:
                 continue
             while len(out) <= s:
-                out.append(0)
-            out[s] = out[s] + c * w
-    return _poly_trim(out)
+                out.append(None)
+            out[s] = c * w if out[s] is None else out[s] + c * w
+    return _poly_trim([0 if x is None else x for x in out])
 
 
 def _binom_poly(k: int) -> list[Fraction]:
@@ -158,7 +169,8 @@ class RationalSeries:
     # -- internal canonical assembly --------------------------------------
 
     def _poly_add_at(self, i: int, c) -> None:
-        s = self.poly.get(i, 0) + c
+        s = self.poly.get(i)
+        s = c if s is None else s + c
         if s:
             self.poly[i] = s
         else:
@@ -186,7 +198,27 @@ class RationalSeries:
                     v = _poly_eval(npoly, n)
                     if v:
                         self._poly_add_at(n * d + r_can, _shift(v, n * a))
-        key = (r_can, d, a)
+        self._merge_term((r_can, d, a), npoly)
+
+    def _add_scaled_term(self, r: int, d: int, a: int, base: list, c) -> None:
+        """_add_term(r, d, a, [x * c for x in base]) for a rational base with a
+        nonzero top coefficient and a nonzero ring element c: the reindexing
+        runs on base, and c scales each result once (same values, same
+        denominators)."""
+        r_can = r % d
+        s0 = (r - r_can) // d
+        if not s0:
+            self._merge_term((r_can, d, a), [x * c for x in base])
+            return
+        comp = _poly_compose_affine(base, 1, -s0)
+        for n in range(0, s0) if s0 > 0 else range(s0, 0):
+            v = _poly_eval(comp, n)
+            if v:
+                v = _shift(c * v, (n - s0) * a)
+                self._poly_add_at(n * d + r_can, -v if s0 > 0 else v)
+        self._merge_term((r_can, d, a), _poly_trim([_shift(x * c, -s0 * a) for x in comp]))
+
+    def _merge_term(self, key: tuple, npoly: list) -> None:
         merged = _poly_add(self.terms.get(key, []), npoly)
         if merged:
             self.terms[key] = merged
@@ -315,6 +347,168 @@ class RationalSeries:
 
 
 # ---------------------------------------------------------------------------
+# sums of long chains of coefficients, with the bytes of one-by-one addition
+# ---------------------------------------------------------------------------
+#
+# Adding MotiveFracs one by one, acc = acc + v, unions the denominators and
+# lifts both sides at every step; the bytes of the result are nonetheless
+# fixed by its value V: the denominator D is the union of the denominators
+# added since the running sum was last zero, and the numerator is V * prod(D).
+# So a chain of additions can be summed by adding the numerators of equal
+# denominators and lifting each group once.  The running sum is watched
+# through a map into the integers modulo a prime that is linear over
+# Z[L, 1/L]: a nonzero image proves it nonzero, and only a zero image costs
+# an exact test.
+
+_IMAGE_PRIME = (1 << 61) - 1
+_IMAGE_POINT = (1_234_567_891_011, 987_654_321_987)
+
+
+@lru_cache(maxsize=4096)
+def _monomial_image(p, q) -> int:
+    """u^p v^q = L^n u^f v^(f - e) with n = floor(p), f = p - n, e = p - q.
+
+    L goes to XY; for integer exponents u^p v^q goes to X^p Y^q, and for
+    f != 0 the part u^f v^(f - e) goes to a fixed pseudo-random residue."""
+    x, y = _IMAGE_POINT
+    n = floor(p)
+    f, e = p - n, p - q
+    part = pow(y, hash((f, e)) if f else -int(e), _IMAGE_PRIME)
+    return pow(x * y, n, _IMAGE_PRIME) * part % _IMAGE_PRIME
+
+
+@lru_cache(maxsize=4096)
+def _den_image_inverse(den: tuple):
+    """1 / prod (L^a - L^b) at L = XY, or None where a factor vanishes."""
+    prime = _IMAGE_PRIME
+    lval = _IMAGE_POINT[0] * _IMAGE_POINT[1] % prime
+    prod = 1
+    for (a, b) in den:
+        prod = prod * (pow(lval, a, prime) - pow(lval, b, prime)) % prime
+    return pow(prod, -1, prime) if prod else None
+
+
+def _image(v):
+    """The image of a MotiveFrac, or None."""
+    if not isinstance(v, MotiveFrac):
+        return None
+    prime = _IMAGE_PRIME
+    acc = 0
+    for (p, q), c in v.num.terms.items():
+        if type(c) is not int:
+            if c.denominator % prime == 0:
+                return None
+            c = c.numerator * pow(c.denominator, -1, prime)
+        acc += c * _monomial_image(p, q)
+    inv = _den_image_inverse(v.den)
+    return None if inv is None else acc * inv % prime
+
+
+def _lift(num: MotiveClass, den: tuple, common: tuple) -> MotiveClass:
+    """num over den rewritten over the larger common denominator."""
+    extra = _multiset_sub(common, den)
+    return num * _product(extra) if extra else num
+
+
+class _ChainSum:
+    """One coefficient's running sum, as numerators grouped by denominator."""
+
+    __slots__ = ("image", "groups", "den")
+
+    def __init__(self):
+        self.image = 0
+        self.groups: dict = {}  # empty exactly when the running sum is zero
+        self.den: tuple = ()
+
+    def add(self, v) -> bool:
+        """acc = acc + v; False when v has no image."""
+        if not v:
+            return True
+        img = _image(v)
+        if img is None:
+            return False
+        self.image = (self.image + img) % _IMAGE_PRIME
+        group = self.groups.get(v.den)
+        self.groups[v.den] = v.num if group is None else group + v.num
+        self.den = _multiset_union(self.den, v.den)
+        if not self.image and not self.numerator():
+            # the running sum vanished: its denominator starts afresh
+            self.groups = {}
+            self.den = ()
+        return True
+
+    def numerator(self) -> MotiveClass:
+        num = MotiveClass.zero()
+        for den, group in self.groups.items():
+            if group:
+                num = num + _lift(group, den, self.den)
+        return num
+
+    def value(self) -> MotiveFrac:
+        return MotiveFrac._fast(self.numerator(), self.den)
+
+
+def _sum_polys(polys: list):
+    """_poly_add over polys in order, with the index of the addition after
+    which the running sum was last empty plus one (0 if never before the
+    end), or None when a coefficient has no image."""
+    if len(polys) == 1:
+        return list(polys[0]), 0
+    chains: list = []
+    start = 0
+    for n, poly in enumerate(polys):
+        while len(chains) < len(poly):
+            chains.append(_ChainSum())
+        for chain, c in zip(chains, poly):
+            if not chain.add(c):
+                return None
+        if not any(chain.groups for chain in chains):
+            start = n + 1
+    return _poly_trim([chain.value() for chain in chains]), start
+
+
+class _SeriesSums(RationalSeries):
+    """A RationalSeries under construction that records its additions and
+    sums each coefficient's chain at the end (finish)."""
+
+    __slots__ = ("_count",)
+
+    def __init__(self):
+        super().__init__()
+        self._count = 0
+
+    def _poly_add_at(self, i: int, c) -> None:
+        if c:
+            self._count += 1
+            self.poly.setdefault(i, []).append((self._count, [c]))
+
+    def _merge_term(self, key: tuple, npoly: list) -> None:
+        self._count += 1
+        self.terms.setdefault(key, []).append((self._count, npoly))
+
+    def finish(self):
+        """The series as one-by-one addition builds it, or None.
+
+        One by one, a key enters its dict at its first addition, leaves it
+        when its sum empties and enters again at its next addition; so the
+        keys are ordered by the addition that last brought them in."""
+        out = RationalSeries()
+        for recorded, target in ((self.poly, out.poly), (self.terms, out.terms)):
+            entries = []
+            for key, additions in recorded.items():
+                summed = _sum_polys([poly for _count, poly in additions])
+                if summed is None:
+                    return None
+                total, start = summed
+                if total:
+                    entries.append((additions[start][0], key, total))
+            for _count, key, total in sorted(entries, key=lambda entry: entry[0]):
+                target[key] = total
+        out.poly = {i: total[0] for i, total in out.poly.items()}
+        return out
+
+
+# ---------------------------------------------------------------------------
 # normalization of num / prod (1 - L^a T^b)
 # ---------------------------------------------------------------------------
 
@@ -366,7 +560,10 @@ def _lifted_numerator(num: dict, den: list, residue_zero: bool = False):
                     js = range(k)
                 for j in js:
                     key = i + b * j
-                    v = nxt.get(key, 0) + (_shift(c, a * j) if j else c)
+                    v = _shift(c, a * j) if j else c
+                    cur = nxt.get(key)
+                    if cur is not None:
+                        v = cur + v
                     if v:
                         nxt[key] = v
                     else:
@@ -417,31 +614,40 @@ def lambda_of_fraction(num: dict, den: list[tuple[int, int]]):
 
 def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d: int) -> None:
     """Partial fractions of num_s(S) / prod (1 - L^A S) at step d, offset r."""
-    distinct = sorted(set(exps))
     if not exps:
         for s, c in num_s.items():
             out._poly_add_at(s * d + r, c)
         return
-    if len(distinct) == 1:
-        a = distinct[0]
-        k = len(exps)
-        base = _binom_poly(k)
+    for a, base, mult in _partial_fractions(tuple(sorted(exps))):
         for s, c in num_s.items():
-            out._add_term(s * d + r, d, a, _poly_scale(base, c))
-        return
-    # split one pair of distinct factors via
-    # 1/((1-L^A S)(1-L^B S)) = (L^A - L^B)^{-1} (L^A/(1-L^A S) - L^B/(1-L^B S))
+            out._add_scaled_term(s * d + r, d, a, base, c if mult is None else c * mult)
+
+
+@lru_cache(maxsize=1024)
+def _partial_fractions(exps: tuple) -> tuple:
+    """1 / prod (1 - L^A S) over exps as a sum of mult * base(n) (L^a S)^n.
+
+    Leaves (a, base, mult) come in the order of the recursive split of one
+    pair of distinct factors at a time,
+    1/((1-L^A S)(1-L^B S)) = (L^A - L^B)^{-1} (L^A/(1-L^A S) - L^B/(1-L^B S)),
+    with base the binomial polynomial of the leaf's multiplicity and mult the
+    product of the lifts on the way (None for no lift).
+    """
+    distinct = sorted(set(exps))
+    if len(distinct) == 1:
+        return ((distinct[0], tuple(_binom_poly(len(exps))), None),)
     a, b = distinct[0], distinct[1]
     rest = list(exps)
     rest.remove(a)
     rest_b = list(exps)
     rest_b.remove(b)
     lift_a = MotiveFrac(MotiveClass.lpow(a), [(a, b)])
-    lift_b = MotiveFrac(MotiveClass.lpow(b), [(a, b)])
-    num_a = {s: c * lift_a for s, c in num_s.items()}
-    num_b = {s: -(c * lift_b) for s, c in num_s.items()}
-    _reduce_single_step(out, num_a, rest_b, r, d)
-    _reduce_single_step(out, num_b, rest, r, d)
+    lift_b = -MotiveFrac(MotiveClass.lpow(b), [(a, b)])
+    return tuple(
+        (leaf_a, base, lift if mult is None else lift * mult)
+        for lift, sub in ((lift_a, rest_b), (lift_b, rest))
+        for leaf_a, base, mult in _partial_fractions(tuple(sub))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,21 +847,36 @@ _faulhaber_cache: dict = {}
 def _geometric_prefix_poly(p: list, a: int) -> list:
     """q with q(N) L^{Na} - q(N-1) L^{(N-1)a} = p(N) L^{Na}, for a != 0.
 
-    Then sum_{n=0..N} p(n) L^{na} = q(N) L^{Na} - q(-1) L^{-a}.
+    Then sum_{n=0..N} p(n) L^{na} = q(N) L^{Na} - q(-1) L^{-a}.  Solved from
+    the top degree down: each step sets the top coefficient of the residual
+    p - q + L^{-a} q(N-1), whose higher coefficients are then zero.
     """
-    q: list = []
-    res = list(p)
-    while res:
-        k = len(res) - 1
-        c = _shift(res[k], a).div_lpow_diff(a, 0)
-        while len(q) <= k:
-            q.append(0)
-        q[k] = q[k] + c
-        qm1 = [_shift(x, -a) for x in _poly_compose_affine(q, 1, -1)]
-        res = _poly_trim(_poly_add(p, [-x for x in _poly_add(q, [-y for y in qm1])]))
-        if res and len(res) - 1 >= k + 1:
+    q: list = [0] * len(p)
+    k = len(p) - 1
+    top = p[k] if p else 0
+    while top:
+        q[k] = q[k] + _shift(top, a).div_lpow_diff(a, 0)
+        if _geometric_residual(p, q, a, k):
             raise AssertionError("geometric prefix solve failed to reduce degree")
+        top = 0
+        for j in range(k - 1, -1, -1):
+            top = _geometric_residual(p, q, a, j)
+            if top:
+                k = j
+                break
     return _poly_trim(q)
+
+
+def _geometric_residual(p: list, q: list, a: int, j: int):
+    """Coefficient j of p - (q - L^{-a} q(N-1)), formed as in
+    _poly_add(p, -_poly_add(q, -[L^{-a} x for x in q(N-1)]))."""
+    comp = None  # coefficient j of q(N-1) = sum over t >= j of q_t C(t,j) (-1)^(t-j)
+    for t in range(j, len(q)):
+        if q[t]:
+            x = q[t] * (comb(t, j) * (-1) ** (t - j))
+            comp = x if comp is None else comp + x
+    inner = q[j] if comp is None else q[j] + (-_shift(comp, -a))
+    return p[j] + (-inner)
 
 
 def prefix_sums(series: RationalSeries) -> RationalSeries:
@@ -664,13 +885,13 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
     Requires the support to be bounded below (true for every canonical
     series) and represents sums from the bottom of the support; closed
     form per term via geometric partial sums, Faulhaber polynomials for
-    the L^0 direction.
+    the L^0 direction.  A term (r, d, a) adds its polynomial to every
+    offset rho < d of the same (d, a); those sums are formed per (d, a) by
+    _staircase when it can, else one addition at a time.
     """
-    out = RationalSeries()
-    for i, c in series.poly.items():
-        if i < 0:
-            raise ValueError("prefix sums need support in nonnegative degrees")
-        out._add_term(i, 1, 0, [c])
+    if any(i < 0 for i in series.poly):
+        raise ValueError("prefix sums need support in nonnegative degrees")
+    parts = []
     for (r, d, a), npoly in series.terms.items():
         if a == 0:
             q: list = []
@@ -683,12 +904,146 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
             const = -_shift(_poly_eval(q, -1), -a)
         plain = _poly_trim(list(q))
         lagged = _poly_trim([_shift(x, -a) for x in _poly_compose_affine(q, 1, -1)])
+        parts.append((r, d, a, plain, lagged, const))
+    # sums formed at once: key -> final polynomial, placed where the first
+    # one-by-one addition would insert the key
+    summed: dict = {}
+    groups: dict = {}
+    for r, d, a, plain, lagged, _const in parts:
+        groups.setdefault((d, a), []).append((r, plain, lagged))
+    for (d, a), items in groups.items():
+        # (0, 1, 0) also collects the Laurent part and the constants
+        sums = _staircase(items, d) if d > 1 else None
+        if sums is not None:
+            summed.update(((rho, d, a), poly) for rho, poly in sums.items())
+    out = _assemble_prefix_sums(_SeriesSums(), series.poly, parts, summed).finish()
+    if out is None:
+        out = _assemble_prefix_sums(RationalSeries(), series.poly, parts, summed)
+    return out
+
+
+def _assemble_prefix_sums(out: RationalSeries, poly: dict, parts: list, summed: dict):
+    for i, c in poly.items():
+        out._add_term(i, 1, 0, [c])
+    placed: set = set()
+
+    def add(key: tuple, npoly: list) -> None:
+        total = summed.get(key)
+        if total is None:
+            out._add_term(*key, npoly)
+        elif key not in placed:
+            placed.add(key)
+            if total:
+                out._merge_term(key, total)
+
+    for r, d, a, plain, lagged, const in parts:
         for rho in range(d):
             shifted = lagged if rho < r else plain
             if shifted:
-                out._add_term(rho, d, a, shifted)
+                add((rho, d, a), shifted)
         if const is not None and const:
-            out._add_term(0, 1, 0, [const])
+            add((0, 1, 0), [const])
+    return out
+
+
+def _staircase(items: list, d: int):
+    """For each rho < d, the sum over items (r, plain, lagged), in order, of
+    ``lagged if rho < r else plain``, as _poly_add would build it one at a time.
+
+    By the rule for chains of additions (see _ChainSum), each coefficient
+    slot is lifted once to the union of all its denominators; going up in
+    rho, a term moves from lagged to plain at rho = r, which is one class
+    addition; and the numerator over the offset's own D is an exact division.
+
+    Returns {rho: polynomial} for the offsets that some item reaches, with []
+    where the whole sum vanishes, or None when a running sum may vanish
+    before the end, or only some coefficients vanish at the end (then the
+    caller adds one at a time).
+    """
+    prime = _IMAGE_PRIME
+    order = sorted(range(len(items)), key=lambda t: items[t][0])
+    # rho's choice is plain for the first cut[rho] items in order of r
+    cut = []
+    k = 0
+    for rho in range(d):
+        while k < len(order) and items[order[k]][0] <= rho:
+            k += 1
+        cut.append(k)
+    widths = [
+        max((len(lagged if rho < r else plain) for r, plain, lagged in items), default=0)
+        for rho in range(d)
+    ]
+    out: dict = {rho: [] for rho in range(d) if widths[rho]}
+    vanishing: dict = {rho: 0 for rho in out}  # slots whose sum ends at zero
+    for j in range(max(widths)):
+        # per item: (plain entry, lagged entry) at slot j, 0 if absent
+        column = [
+            tuple(poly[j] if j < len(poly) else 0 for poly in (plain, lagged))
+            for _r, plain, lagged in items
+        ]
+        image = {}
+        den_all: tuple = ()
+        for pair in column:
+            for e in pair:
+                if e:
+                    image[id(e)] = img = _image(e)
+                    if img is None:
+                        return None
+                    den_all = _multiset_union(den_all, e.den)
+        lifted = {id(e): _lift(e.num, e.den, den_all) for pair in column for e in pair if e}
+        # no running sum may vanish before the last nonzero entry
+        ends_zero = set()
+        for rho in out:
+            if j >= widths[rho]:
+                continue
+            acc = None  # until the first nonzero entry
+            for (r, _plain, _lagged), pair in zip(items, column):
+                e = pair[1] if rho < r else pair[0]
+                if e:
+                    if acc == 0:
+                        return None
+                    acc = ((acc or 0) + image[id(e)]) % prime
+            if not acc:
+                ends_zero.add(rho)
+        column = [column[t] for t in order]
+        plain_den: list = [()]
+        for plain_e, _lagged_e in column:
+            plain_den.append(_multiset_union(plain_den[-1], plain_e.den if plain_e else ()))
+        lagged_den: list = [()]
+        for _plain_e, lagged_e in reversed(column):
+            lagged_den.append(_multiset_union(lagged_den[-1], lagged_e.den if lagged_e else ()))
+        lagged_den.reverse()
+        total = MotiveClass.zero()
+        for _plain_e, lagged_e in column:
+            if lagged_e:
+                total = total + lifted[id(lagged_e)]
+        k = 0
+        for rho in range(d):
+            while k < cut[rho]:
+                plain_e, lagged_e = column[k]
+                if plain_e:
+                    total = total + lifted[id(plain_e)]
+                if lagged_e:
+                    total = total - lifted[id(lagged_e)]
+                k += 1
+            if rho not in out or j >= widths[rho]:
+                continue
+            if rho in ends_zero:
+                if total:
+                    return None  # the image vanished, the sum does not
+                vanishing[rho] += 1
+                out[rho].append(MotiveFrac.zero())
+                continue
+            den = _multiset_union(plain_den[k], lagged_den[k])
+            num = total
+            for (fa, fb) in _multiset_sub(den_all, den):
+                num = divide_by_l_diff(num, fa, fb)
+            out[rho].append(MotiveFrac._fast(num, den))
+    for rho, count in vanishing.items():
+        if count == widths[rho]:
+            out[rho] = []
+        elif count:
+            return None
     return out
 
 

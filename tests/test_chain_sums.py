@@ -1,0 +1,299 @@
+"""Closed forms assembled by chain sums against one-by-one addition.
+
+``rs_normalize`` and ``prefix_sums`` sum long chains of MotiveFrac
+coefficients at once (``series._SeriesSums``, ``series._staircase``) and
+solve partial fractions and geometric prefix sums in fewer operations.  The
+reference functions below add one coefficient at a time, in the original
+order, with their own polynomial helpers; the fast paths must reproduce
+their bytes: JSON, denominators, and the order of the series' keys.
+"""
+
+import json
+import random
+from math import comb
+
+from motivint import arcs
+from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
+from motivint.motives import MotiveClass, MotiveFrac, _multiset_union
+from motivint.series import (
+    RationalSeries,
+    _binom_poly,
+    _faulhaber,
+    _geometric_prefix_poly,
+    _lifted_numerator,
+    _SeriesSums,
+    _staircase,
+    prefix_sums,
+    rs_normalize,
+)
+
+from helpers import all_geometries, random_motive_frac, twisted_geometries
+
+
+def _series_bytes(s: RationalSeries, coeff_to_json=motive_frac_to_json):
+    return json.dumps(series_to_json(s, coeff_to_json)), list(s.poly), list(s.terms)
+
+
+# ---------------------------------------------------------------------------
+# one-by-one references
+# ---------------------------------------------------------------------------
+
+
+def _ref_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_add(p, q):
+    out = list(p) + [0] * max(0, len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] = out[i] + c
+    return _ref_trim(out)
+
+
+def _ref_compose(p, k, j):
+    out = []
+    for t, c in enumerate(p):
+        if not c:
+            continue
+        for s in range(t + 1):
+            w = comb(t, s) * (k**s) * (j ** (t - s))
+            if w == 0:
+                continue
+            while len(out) <= s:
+                out.append(0)
+            out[s] = out[s] + c * w
+    return _ref_trim(out)
+
+
+def _ref_eval(p, n):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * n + c
+    return acc
+
+
+def _ref_shift(c, k):
+    return c if not k or not c else c.mul_lpow(k)
+
+
+def _ref_geometric_prefix_poly(p, a):
+    q = []
+    res = list(p)
+    while res:
+        k = len(res) - 1
+        c = _ref_shift(res[k], a).div_lpow_diff(a, 0)
+        while len(q) <= k:
+            q.append(0)
+        q[k] = q[k] + c
+        qm1 = [_ref_shift(x, -a) for x in _ref_compose(q, 1, -1)]
+        res = _ref_add(p, [-x for x in _ref_add(q, [-y for y in qm1])])
+    return _ref_trim(q)
+
+
+def _ref_prefix_sums(series):
+    out = RationalSeries()
+    for i, c in series.poly.items():
+        out._add_term(i, 1, 0, [c])
+    for (r, d, a), npoly in series.terms.items():
+        if a == 0:
+            q = []
+            for j, c in enumerate(npoly):
+                if c:
+                    q = _ref_add(q, _ref_trim([x * c for x in _faulhaber(j)]))
+            const = None
+        else:
+            q = _ref_geometric_prefix_poly(npoly, a)
+            const = -_ref_shift(_ref_eval(q, -1), -a)
+        plain = _ref_trim(list(q))
+        lagged = _ref_trim([_ref_shift(x, -a) for x in _ref_compose(q, 1, -1)])
+        for rho in range(d):
+            shifted = lagged if rho < r else plain
+            if shifted:
+                out._add_term(rho, d, a, shifted)
+        if const is not None and const:
+            out._add_term(0, 1, 0, [const])
+    return out
+
+
+def _ref_reduce(out, num_s, exps, r, d):
+    distinct = sorted(set(exps))
+    if len(distinct) == 1:
+        base = _binom_poly(len(exps))
+        for s, c in num_s.items():
+            out._add_term(s * d + r, d, distinct[0], _ref_trim([x * c for x in base]))
+        return
+    a, b = distinct[0], distinct[1]
+    rest = list(exps)
+    rest.remove(a)
+    rest_b = list(exps)
+    rest_b.remove(b)
+    lift_a = MotiveFrac(MotiveClass.lpow(a), [(a, b)])
+    lift_b = MotiveFrac(MotiveClass.lpow(b), [(a, b)])
+    _ref_reduce(out, {s: c * lift_a for s, c in num_s.items()}, rest_b, r, d)
+    _ref_reduce(out, {s: -(c * lift_b) for s, c in num_s.items()}, rest, r, d)
+
+
+def _ref_rs_normalize(num, den):
+    work, exps, d = _lifted_numerator(num, den)
+    if not work:
+        return RationalSeries()
+    if not exps:
+        return RationalSeries(poly=work)
+    out = RationalSeries()
+    for r in range(d):
+        num_s = {(i - r) // d: c for i, c in work.items() if (i - r) % d == 0}
+        if num_s:
+            _ref_reduce(out, num_s, exps, r, d)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random chains with cancellations
+# ---------------------------------------------------------------------------
+
+
+def _chain_values(rng, length):
+    """MotiveFracs over a few shared denominators, where a value is often
+    followed by its negative so that running sums vanish on the way."""
+    pool = [random_motive_frac(rng, 3) for _ in range(4)]
+    values = []
+    while len(values) < length:
+        v = rng.choice(pool) if rng.random() < 0.7 else random_motive_frac(rng, 3)
+        values.append(v)
+        if rng.random() < 0.3:
+            values.append(-v)
+    return values
+
+
+def test_multiset_union_is_max_multiplicity():
+    rng = random.Random(31)
+    factors = [(1, 0), (2, 0), (2, 1), (-1, 0)]
+    for _ in range(300):
+        a = tuple(sorted(rng.choice(factors) for _ in range(rng.randint(0, 4))))
+        b = tuple(sorted(rng.choice(factors) for _ in range(rng.randint(0, 4))))
+        want = []
+        for k in sorted(set(a) | set(b)):
+            want.extend([k] * max(a.count(k), b.count(k)))
+        assert _multiset_union(a, b) == tuple(want)
+
+
+def test_chain_sums_match_one_by_one_bytes():
+    # keys that empty and fill again move to the end of their dict, one by
+    # one; the recorded sums must give the same dicts in the same order
+    rng = random.Random(4242)
+    emptied = 0
+    for _ in range(300):
+        want = RationalSeries()
+        sums = _SeriesSums()
+        for _ in range(rng.randint(1, 12)):
+            key = (rng.randint(0, 2), 3, 1)
+            i = rng.randint(0, 3)
+            cancel = rng.random() < 0.3
+            if cancel and key in want.terms:
+                poly = [-c for c in want.terms[key]]
+            else:
+                poly = _ref_trim(_chain_values(rng, rng.randint(1, 3))[:3])
+            if not poly:
+                continue
+            c = -want.poly[i] if cancel and i in want.poly else poly[0]
+            before = dict(want.terms)
+            for s in (want, sums):
+                s._merge_term(key, poly)
+                s._poly_add_at(i, c)
+            emptied += key in before and key not in want.terms
+        got = sums.finish()
+        assert _series_bytes(got) == _series_bytes(want)
+        for i in want.poly:
+            assert motive_frac_to_json(got.poly[i]) == motive_frac_to_json(want.poly[i])
+    assert emptied > 20
+
+
+def test_staircase_matches_one_by_one_bytes():
+    rng = random.Random(777)
+    summed = 0
+    for _ in range(100):
+        d = rng.randint(2, 7)
+        items = []
+        for r in rng.sample(range(d), rng.randint(2, d)):
+            plain = _ref_trim(_chain_values(rng, rng.randint(1, 3))[:3])
+            lagged = _ref_trim(_chain_values(rng, rng.randint(1, 3))[:3])
+            if rng.random() < 0.2:
+                lagged = [-x for x in items[-1][1]] if items else lagged
+            items.append((r, plain, lagged))
+        got = _staircase(items, d)
+        if got is None:
+            continue
+        summed += 1
+        for rho in range(d):
+            acc = []
+            for r, plain, lagged in items:
+                chosen = lagged if rho < r else plain
+                if chosen:
+                    acc = _ref_add(acc, chosen)
+            if rho in got:
+                assert [motive_frac_to_json(c) for c in got[rho]] == [
+                    motive_frac_to_json(c) for c in acc
+                ], (items, rho)
+            else:
+                assert not acc
+    assert summed > 50
+
+
+def test_geometric_prefix_poly_matches_one_by_one_bytes():
+    rng = random.Random(1618)
+    for _ in range(200):
+        p = _ref_trim([random_motive_frac(rng, 2) for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.3 and len(p) > 1:
+            p[rng.randrange(len(p) - 1)] = MotiveFrac.zero()
+        a = rng.choice([-3, -2, -1, 1, 2, 3])
+        got = _geometric_prefix_poly(p, a)
+        want = _ref_geometric_prefix_poly(p, a)
+        assert [motive_frac_to_json(MotiveFrac(0) + c) for c in got] == [
+            motive_frac_to_json(MotiveFrac(0) + c) for c in want
+        ]
+
+
+def _sample_geometries():
+    """Every 90th criterion-7 geometry (steps up to 60) and ten twisted ones."""
+    return list(all_geometries(3, 6))[::90] + twisted_geometries(random.Random(5), 10)
+
+
+def test_rs_normalize_matches_one_by_one_bytes():
+    rng = random.Random(8080)
+    cases = []
+    for _ in range(60):
+        num = {rng.randint(-4, 8): random_motive_frac(rng, 2) for _ in range(rng.randint(1, 4))}
+        den = [
+            (rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 3, 4, 6]))
+            for _ in range(rng.randint(1, 4))
+        ]
+        cases.append((num, den))
+    for geom in _sample_geometries():
+        num, den = arcs._zeta_fraction(geom)
+        cases.append((dict(num), list(den)))
+    for num, den in cases:
+        assert _series_bytes(rs_normalize(num, den)) == _series_bytes(
+            _ref_rs_normalize(num, den)
+        ), (num, den)
+
+
+def test_prefix_sums_match_one_by_one_bytes():
+    rng = random.Random(6060)
+    cases = []
+    for _ in range(25):
+        num = {rng.randint(0, 5): random_motive_frac(rng, 2) for _ in range(rng.randint(1, 3))}
+        den = [(rng.randint(-2, 3), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        cases.append(rs_normalize(num, den))
+    for geom in _sample_geometries():
+        head = RationalSeries(poly={1: arcs.measure_total(geom)})
+        cases.append(head - arcs._zeta_common(geom))
+    for s in cases:
+        assert _series_bytes(prefix_sums(s)) == _series_bytes(_ref_prefix_sums(s)), s
+    # Gauss-ring coefficients have no image: one-by-one addition throughout
+    for geom in _sample_geometries()[::4]:
+        s = arcs.exp_series(geom)
+        assert _series_bytes(prefix_sums(s), uelement_to_json) == _series_bytes(
+            _ref_prefix_sums(s), uelement_to_json
+        )
