@@ -8,127 +8,9 @@ extracts Hodge spectra, and cross-validates its algebra against p-adic and
 finite-field character-sum numerics.
 """
 
-from .arcs import (
-    GeometryError,
-    MonomialGeometry,
-    TSReport,
-    big_d,
-    char_integral,
-    exp_coefficient,
-    exp_series,
-    measure_gt,
-    measure_series,
-    measure_total,
-    ts_check,
-    ts_direct_exp_coefficient,
-    ts_direct_zeta,
-    zeta_series,
-)
-from .characters import Character, characters_of_order_dividing, gamma
-from .gaussring import UElement, hodge_realize_u, sg_decompose, u_mul
-from .motives import (
-    MotiveClass,
-    MotiveFrac,
-    divide_by_l_diff,
-    fermat_torus_class,
-    jacobi,
-    torus_char_class,
-)
-from .oracles import (
-    DecompositionReport,
-    PadicContext,
-    ResidueCharacter,
-    characters_mod,
-    check_exp_decomposition,
-    gauss_sum_numeric,
-    jacobi_sum_numeric,
-    padic_char_integral,
-    padic_exp_integral,
-    phi_indicator_zero,
-    phi_one,
-)
-from .polyparse import IntPolynomial, PolyParseError, parse_poly
-from .series import (
-    RationalSeries,
-    exp_t,
-    hadamard,
-    lambda_functional,
-    multiply,
-    prefix_sums,
-    rs_normalize,
-    tau,
-    to_fraction,
-)
-from .spectra import (
-    GeometryPointError,
-    SpectrumPoly,
-    brieskorn_oracle,
-    s_phi,
-    s_psi,
-    sg,
-    sg_direct_product,
-    sp,
-    sp_from_sg,
-)
+from .arcs import MonomialGeometry
+from .characters import Character
+from .gaussring import u_mul
+from .spectra import sg, sp_from_sg
 
-__all__ = [
-    "GeometryError",
-    "MonomialGeometry",
-    "TSReport",
-    "big_d",
-    "char_integral",
-    "exp_coefficient",
-    "exp_series",
-    "measure_gt",
-    "measure_series",
-    "measure_total",
-    "ts_check",
-    "ts_direct_exp_coefficient",
-    "ts_direct_zeta",
-    "zeta_series",
-    "Character",
-    "characters_of_order_dividing",
-    "gamma",
-    "UElement",
-    "hodge_realize_u",
-    "sg_decompose",
-    "u_mul",
-    "MotiveClass",
-    "MotiveFrac",
-    "divide_by_l_diff",
-    "fermat_torus_class",
-    "jacobi",
-    "torus_char_class",
-    "DecompositionReport",
-    "PadicContext",
-    "ResidueCharacter",
-    "characters_mod",
-    "check_exp_decomposition",
-    "gauss_sum_numeric",
-    "jacobi_sum_numeric",
-    "padic_char_integral",
-    "padic_exp_integral",
-    "phi_indicator_zero",
-    "phi_one",
-    "IntPolynomial",
-    "PolyParseError",
-    "parse_poly",
-    "RationalSeries",
-    "exp_t",
-    "hadamard",
-    "lambda_functional",
-    "multiply",
-    "prefix_sums",
-    "rs_normalize",
-    "tau",
-    "to_fraction",
-    "GeometryPointError",
-    "SpectrumPoly",
-    "brieskorn_oracle",
-    "s_phi",
-    "s_psi",
-    "sg",
-    "sg_direct_product",
-    "sp",
-    "sp_from_sg",
-]
+__all__ = ["MonomialGeometry", "Character", "sg", "sp_from_sg", "u_mul"]

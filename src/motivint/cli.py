@@ -33,6 +33,7 @@ from .jsonio import (
 )
 from .motives import MotiveFrac
 from .oracles import (
+    MAX_GAUSS_PRIME,
     PadicContext,
     check_enumeration,
     check_exp_decomposition,
@@ -240,6 +241,10 @@ def cmd_oracle_padic(args) -> int:
 
 def cmd_oracle_gauss(args) -> int:
     p = args.prime
+    if p > MAX_GAUSS_PRIME:
+        raise CliError(
+            f"the Gauss/Jacobi suite at p = {p} exceeds the limit of p <= {MAX_GAUSS_PRIME}"
+        )
     try:
         ctx = PadicContext(p, 1)
     except ValueError as exc:

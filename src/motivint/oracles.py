@@ -26,6 +26,13 @@ TOLERANCE = 1e-9
 # benchmark stay below 120000 points.
 MAX_ENUMERATION_POINTS = 1_000_000
 
+# Work cap of the finite-field Gauss/Jacobi suite (``oracle gauss``): the
+# largest prime p it runs at.  It checks about p^2 character pairs with an
+# O(p) Jacobi sum each, so its time grows as p^3: about 11 s at p = 167
+# (2-core x86 VM, CPython 3.11).  The test suite and the benchmark use
+# primes up to 19.
+MAX_GAUSS_PRIME = 167
+
 
 def check_enumeration(p: int, precision: int, m: int) -> None:
     """Raise ValueError when p^(precision*m) exceeds MAX_ENUMERATION_POINTS.

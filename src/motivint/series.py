@@ -200,24 +200,6 @@ class RationalSeries:
                         self._poly_add_at(n * d + r_can, _shift(v, n * a))
         self._merge_term((r_can, d, a), npoly)
 
-    def _add_scaled_term(self, r: int, d: int, a: int, base: list, c) -> None:
-        """_add_term(r, d, a, [x * c for x in base]) for a rational base with a
-        nonzero top coefficient and a nonzero ring element c: the reindexing
-        runs on base, and c scales each result once (same values, same
-        denominators)."""
-        r_can = r % d
-        s0 = (r - r_can) // d
-        if not s0:
-            self._merge_term((r_can, d, a), [x * c for x in base])
-            return
-        comp = _poly_compose_affine(base, 1, -s0)
-        for n in range(0, s0) if s0 > 0 else range(s0, 0):
-            v = _poly_eval(comp, n)
-            if v:
-                v = _shift(c * v, (n - s0) * a)
-                self._poly_add_at(n * d + r_can, -v if s0 > 0 else v)
-        self._merge_term((r_can, d, a), _poly_trim([_shift(x * c, -s0 * a) for x in comp]))
-
     def _merge_term(self, key: tuple, npoly: list) -> None:
         merged = _poly_add(self.terms.get(key, []), npoly)
         if merged:
@@ -448,64 +430,24 @@ class _ChainSum:
         return MotiveFrac._fast(self.numerator(), self.den)
 
 
-def _sum_polys(polys: list):
-    """_poly_add over polys in order, with the index of the addition after
-    which the running sum was last empty plus one (0 if never before the
-    end), or None when a coefficient has no image."""
+def _chain_poly_sum(polys: list):
+    """_poly_add over nonempty polys in order, one _ChainSum per
+    coefficient slot; None when a coefficient has no image, or when the
+    running sum empties on the way and ends nonzero (one by one, its key
+    would then move to the end of its dict)."""
     if len(polys) == 1:
-        return list(polys[0]), 0
+        return list(polys[0])
     chains: list = []
-    start = 0
-    for n, poly in enumerate(polys):
+    emptied = False
+    for poly in polys:
         while len(chains) < len(poly):
             chains.append(_ChainSum())
         for chain, c in zip(chains, poly):
             if not chain.add(c):
                 return None
-        if not any(chain.groups for chain in chains):
-            start = n + 1
-    return _poly_trim([chain.value() for chain in chains]), start
-
-
-class _SeriesSums(RationalSeries):
-    """A RationalSeries under construction that records its additions and
-    sums each coefficient's chain at the end (finish)."""
-
-    __slots__ = ("_count",)
-
-    def __init__(self):
-        super().__init__()
-        self._count = 0
-
-    def _poly_add_at(self, i: int, c) -> None:
-        if c:
-            self._count += 1
-            self.poly.setdefault(i, []).append((self._count, [c]))
-
-    def _merge_term(self, key: tuple, npoly: list) -> None:
-        self._count += 1
-        self.terms.setdefault(key, []).append((self._count, npoly))
-
-    def finish(self):
-        """The series as one-by-one addition builds it, or None.
-
-        One by one, a key enters its dict at its first addition, leaves it
-        when its sum empties and enters again at its next addition; so the
-        keys are ordered by the addition that last brought them in."""
-        out = RationalSeries()
-        for recorded, target in ((self.poly, out.poly), (self.terms, out.terms)):
-            entries = []
-            for key, additions in recorded.items():
-                summed = _sum_polys([poly for _count, poly in additions])
-                if summed is None:
-                    return None
-                total, start = summed
-                if total:
-                    entries.append((additions[start][0], key, total))
-            for _count, key, total in sorted(entries, key=lambda entry: entry[0]):
-                target[key] = total
-        out.poly = {i: total[0] for i, total in out.poly.items()}
-        return out
+        emptied = emptied or not any(chain.groups for chain in chains)
+    total = _poly_trim([chain.value() for chain in chains])
+    return None if emptied and total else total
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +562,8 @@ def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d:
         return
     for a, base, mult in _partial_fractions(tuple(sorted(exps))):
         for s, c in num_s.items():
-            out._add_scaled_term(s * d + r, d, a, base, c if mult is None else c * mult)
+            c = c if mult is None else c * mult
+            out._add_term(s * d + r, d, a, [x * c for x in base])
 
 
 @lru_cache(maxsize=1024)
@@ -751,9 +694,9 @@ def lambda_functional(series: RationalSeries):
 
 def to_fraction(series: RationalSeries) -> tuple[dict, list]:
     """Rewrite the canonical form as (num, den) with den a list of (a, b) factors."""
-    pieces: list[tuple[dict, list]] = []
+    pieces: list[tuple[dict, tuple]] = []
     if series.poly:
-        pieces.append((dict(series.poly), []))
+        pieces.append((dict(series.poly), ()))
     for (r, d, a), npoly in series.terms.items():
         # n^j in the binomial basis: n^j = sum_t S(j,t) t! binom(n,t),
         # and sum_n binom(n,t) X^n = X^t / (1-X)^{t+1} with X = L^a T^d.
@@ -769,15 +712,15 @@ def to_fraction(series: RationalSeries) -> tuple[dict, list]:
             if not c:
                 continue
             num = {r + d * t: _shift(c, a * t)}
-            pieces.append((num, [(a, d)] * (t + 1)))
+            pieces.append((num, ((a, d),) * (t + 1)))
     if not pieces:
         return {}, []
-    den: list = []
+    den: tuple = ()
     for (_num, fac) in pieces:
-        den = _factor_union(den, fac)
+        den = _multiset_union(den, fac)
     total: dict = {}
     for (numpart, fac) in pieces:
-        missing = _factor_sub(den, fac)
+        missing = _multiset_sub(den, fac)
         lifted = numpart
         for (a, b) in missing:
             nxt: dict = {}
@@ -795,21 +738,7 @@ def to_fraction(series: RationalSeries) -> tuple[dict, list]:
                 total[i] = s
             else:
                 total.pop(i, None)
-    return total, den
-
-
-def _factor_union(a: list, b: list) -> list:
-    out = []
-    for k in sorted(set(a) | set(b)):
-        out.extend([k] * max(a.count(k), b.count(k)))
-    return out
-
-
-def _factor_sub(a: list, b: list) -> list:
-    out = list(a)
-    for k in b:
-        out.remove(k)
-    return out
+    return total, list(den)
 
 
 def _faulhaber(j: int) -> list[Fraction]:
@@ -886,8 +815,10 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
     series) and represents sums from the bottom of the support; closed
     form per term via geometric partial sums, Faulhaber polynomials for
     the L^0 direction.  A term (r, d, a) adds its polynomial to every
-    offset rho < d of the same (d, a); those sums are formed per (d, a) by
-    _staircase when it can, else one addition at a time.
+    offset rho < d of the same (d, a); the Laurent part and the constants
+    of the geometric sums are added at (0, 1, 0).  Each (d, a) group of
+    additions is summed at once (_grouped_prefix_sums); when a group
+    declines, the series is built one addition at a time.
     """
     if any(i < 0 for i in series.poly):
         raise ValueError("prefix sums need support in nonnegative degrees")
@@ -905,44 +836,59 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
         plain = _poly_trim(list(q))
         lagged = _poly_trim([_shift(x, -a) for x in _poly_compose_affine(q, 1, -1)])
         parts.append((r, d, a, plain, lagged, const))
-    # sums formed at once: key -> final polynomial, placed where the first
-    # one-by-one addition would insert the key
-    summed: dict = {}
-    groups: dict = {}
-    for r, d, a, plain, lagged, _const in parts:
-        groups.setdefault((d, a), []).append((r, plain, lagged))
-    for (d, a), items in groups.items():
-        # (0, 1, 0) also collects the Laurent part and the constants
-        sums = _staircase(items, d) if d > 1 else None
-        if sums is not None:
-            summed.update(((rho, d, a), poly) for rho, poly in sums.items())
-    out = _assemble_prefix_sums(_SeriesSums(), series.poly, parts, summed).finish()
+    out = _grouped_prefix_sums(series.poly, parts)
     if out is None:
-        out = _assemble_prefix_sums(RationalSeries(), series.poly, parts, summed)
+        out = RationalSeries()
+        for i, c in series.poly.items():
+            out._add_term(i, 1, 0, [c])
+        for r, d, a, plain, lagged, const in parts:
+            for rho in range(d):
+                shifted = lagged if rho < r else plain
+                if shifted:
+                    out._add_term(rho, d, a, shifted)
+            if const:
+                out._add_term(0, 1, 0, [const])
     return out
 
 
-def _assemble_prefix_sums(out: RationalSeries, poly: dict, parts: list, summed: dict):
-    for i, c in poly.items():
-        out._add_term(i, 1, 0, [c])
-    placed: set = set()
+def _grouped_prefix_sums(poly: dict, parts: list):
+    """prefix_sums with each (d, a) group summed at once, or None when a
+    group declines: _staircase for d > 1, _chain_poly_sum for d = 1.
 
-    def add(key: tuple, npoly: list) -> None:
-        total = summed.get(key)
-        if total is None:
-            out._add_term(*key, npoly)
-        elif key not in placed:
-            placed.add(key)
-            if total:
-                out._merge_term(key, total)
-
+    One by one, a key enters its dict at its first nonzero addition and
+    leaves it only when its sum empties; both group sums decline when a sum
+    empties on the way and ends nonzero, so the keys keep the order of
+    their first additions.  A Laurent entry c T^i adds c at (0, 1, 0) and
+    -c at T^0 ... T^{i-1}, which are written directly.
+    """
+    groups: dict = {}  # (d, a) -> additions (r, plain, lagged), in order
+    keys: dict = {}  # (rho, d, a) -> None, in order of first addition
+    for c in poly.values():
+        groups.setdefault((1, 0), []).append((0, [c], None))
+        keys.setdefault((0, 1, 0))
     for r, d, a, plain, lagged, const in parts:
+        groups.setdefault((d, a), []).append((r, plain, lagged))
         for rho in range(d):
-            shifted = lagged if rho < r else plain
-            if shifted:
-                add((rho, d, a), shifted)
-        if const is not None and const:
-            add((0, 1, 0), [const])
+            if lagged if rho < r else plain:
+                keys.setdefault((rho, d, a))
+        if const:
+            groups.setdefault((1, 0), []).append((0, [const], None))
+            keys.setdefault((0, 1, 0))
+    sums: dict = {}
+    for (d, a), items in groups.items():
+        if d > 1:
+            group = _staircase(items, d)
+        else:
+            total = _chain_poly_sum([plain for _r, plain, _lagged in items if plain])
+            group = None if total is None else {0: total}
+        if group is None:
+            return None
+        sums.update(((rho, d, a), npoly) for rho, npoly in group.items())
+    out = RationalSeries()
+    for i, c in poly.items():
+        for n in range(i):
+            out._poly_add_at(n, -c)
+    out.terms = {key: sums[key] for key in keys if sums[key]}
     return out
 
 

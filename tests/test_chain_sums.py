@@ -1,11 +1,13 @@
 """Closed forms assembled by chain sums against one-by-one addition.
 
-``rs_normalize`` and ``prefix_sums`` sum long chains of MotiveFrac
-coefficients at once (``series._SeriesSums``, ``series._staircase``) and
-solve partial fractions and geometric prefix sums in fewer operations.  The
-reference functions below add one coefficient at a time, in the original
-order, with their own polynomial helpers; the fast paths must reproduce
-their bytes: JSON, denominators, and the order of the series' keys.
+``prefix_sums`` sums each (d, a) group of its additions at once
+(``series._staircase`` for d > 1, ``series._chain_poly_sum`` for d = 1) and
+builds the whole series one addition at a time when a group declines;
+``rs_normalize`` and ``_geometric_prefix_poly`` solve partial fractions and
+geometric prefix sums in fewer operations.  The reference functions below
+add one coefficient at a time, in the original order, with their own
+polynomial helpers; the fast paths must reproduce their bytes: JSON,
+denominators, and the order of the series' keys.
 """
 
 import json
@@ -18,10 +20,10 @@ from motivint.motives import MotiveClass, MotiveFrac, _multiset_union
 from motivint.series import (
     RationalSeries,
     _binom_poly,
+    _chain_poly_sum,
     _faulhaber,
     _geometric_prefix_poly,
     _lifted_numerator,
-    _SeriesSums,
     _staircase,
     prefix_sums,
     rs_normalize,
@@ -180,34 +182,38 @@ def test_multiset_union_is_max_multiplicity():
 
 
 def test_chain_sums_match_one_by_one_bytes():
-    # keys that empty and fill again move to the end of their dict, one by
-    # one; the recorded sums must give the same dicts in the same order
+    # the d = 1 group sum: one _ChainSum per coefficient slot gives the bytes
+    # of one-by-one _poly_add, and declines exactly when the running sum
+    # empties on the way and ends nonzero (one by one, its key would then
+    # move to the end of its dict)
     rng = random.Random(4242)
-    emptied = 0
+    emptied = declined = 0
     for _ in range(300):
-        want = RationalSeries()
-        sums = _SeriesSums()
+        values = _chain_values(rng, 40)
+        polys, acc, was_empty = [], [], False
         for _ in range(rng.randint(1, 12)):
-            key = (rng.randint(0, 2), 3, 1)
-            i = rng.randint(0, 3)
-            cancel = rng.random() < 0.3
-            if cancel and key in want.terms:
-                poly = [-c for c in want.terms[key]]
+            u = rng.random()
+            if u < 0.2 and acc:  # cancel the whole running sum
+                poly = [-c for c in acc]
+            elif u < 0.4 and acc:  # cancel some slots
+                poly = _ref_trim([-c if rng.random() < 0.5 else rng.choice(values) for c in acc])
             else:
-                poly = _ref_trim(_chain_values(rng, rng.randint(1, 3))[:3])
+                poly = _ref_trim([rng.choice(values) for _ in range(rng.randint(1, 3))])
             if not poly:
                 continue
-            c = -want.poly[i] if cancel and i in want.poly else poly[0]
-            before = dict(want.terms)
-            for s in (want, sums):
-                s._merge_term(key, poly)
-                s._poly_add_at(i, c)
-            emptied += key in before and key not in want.terms
-        got = sums.finish()
-        assert _series_bytes(got) == _series_bytes(want)
-        for i in want.poly:
-            assert motive_frac_to_json(got.poly[i]) == motive_frac_to_json(want.poly[i])
-    assert emptied > 20
+            polys.append(poly)
+            acc = _ref_add(acc, poly)
+            was_empty = was_empty or not acc
+        got = _chain_poly_sum(polys)
+        emptied += was_empty
+        if was_empty and acc:
+            declined += 1
+            assert got is None, polys
+        else:
+            assert [motive_frac_to_json(c) for c in got] == [
+                motive_frac_to_json(c) for c in acc
+            ], polys
+    assert emptied > 20 and declined > 50
 
 
 def test_staircase_matches_one_by_one_bytes():
@@ -289,6 +295,20 @@ def test_prefix_sums_match_one_by_one_bytes():
     for geom in _sample_geometries():
         head = RationalSeries(poly={1: arcs.measure_total(geom)})
         cases.append(head - arcs._zeta_common(geom))
+    # at (0, 1, 0), the Laurent entry x T and the constant of the geometric
+    # sum of (0, 1, 1) cancel, and the constant of (0, 1, 2) brings the key
+    # back: one by one it moves to the end of the dict, so the grouped sums
+    # must decline and build the series one addition at a time
+    for _ in range(20):
+        y, z = [random_motive_frac(rng, 2)], [random_motive_frac(rng, 2)]
+        if not y[0] or not z[0]:
+            continue
+        probe = _ref_prefix_sums(RationalSeries(terms={(0, 1, 1): y}))
+        s = RationalSeries(
+            poly={1: -probe.terms[(0, 1, 0)][0]}, terms={(0, 1, 1): y, (0, 1, 2): z}
+        )
+        assert list(_ref_prefix_sums(s).terms) == [(0, 1, 1), (0, 1, 2), (0, 1, 0)]
+        cases.append(s)
     for s in cases:
         assert _series_bytes(prefix_sums(s)) == _series_bytes(_ref_prefix_sums(s)), s
     # Gauss-ring coefficients have no image: one-by-one addition throughout

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from motivint.cli import main
+from motivint.oracles import MAX_GAUSS_PRIME
 
 X2 = {"ambient_dim": 1, "f_exponents": [2], "g_exponents": [0], "w_indices": [1]}
 Y3 = {"ambient_dim": 1, "f_exponents": [3], "g_exponents": [0], "w_indices": [1]}
@@ -150,6 +152,17 @@ def test_oracle_gauss(capsys):
     code, payload = run_cli(capsys, "oracle", "gauss", "--prime", "11")
     assert code == 0
     assert payload["pass"] is True
+    assert (payload["prime"], payload["pairs_checked"]) == (11, 72)
+
+
+def test_oracle_gauss_rejects_oversized_prime(capsys):
+    # refused before any work: at this prime the suite would run for days
+    t0 = time.perf_counter()
+    code, payload = run_cli(capsys, "oracle", "gauss", "--prime", "1000003")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "exceeds the limit" in payload["error"]
+    assert MAX_GAUSS_PRIME >= 19  # the primes of the tests and the benchmark
 
 
 def test_missing_geometry_is_error(capsys):
