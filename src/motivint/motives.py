@@ -11,6 +11,7 @@ by cross-multiplication; no gcd cancellation is attempted.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .characters import Character, gamma
@@ -437,26 +438,20 @@ def _multiset_sub(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-_product_cache: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _product(factors: tuple) -> MotiveClass:
-    hit = _product_cache.get(factors)
-    if hit is None:
-        prod = MotiveClass.one()
-        for (a, b) in factors:
-            prod = prod * (MotiveClass.lpow(a) - MotiveClass.lpow(b))
-        _product_cache[factors] = hit = prod
-    return hit
+    prod = MotiveClass.one()
+    for (a, b) in factors:
+        prod = prod * (MotiveClass.lpow(a) - MotiveClass.lpow(b))
+    return prod
 
 
 # ---------------------------------------------------------------------------
 # Character classes on motives
 # ---------------------------------------------------------------------------
 
-_jacobi_cache: dict = {}
 
-
+@lru_cache(maxsize=4096)
 def jacobi(alpha1: Character, alpha2: Character) -> MotiveClass:
     """The two-variable Jacobi class, in its Hodge realization.
 
@@ -464,22 +459,15 @@ def jacobi(alpha1: Character, alpha2: Character) -> MotiveClass:
     (the base field contains all roots of unity, so the class of alpha(-1) is 1),
     and otherwise -u^{1-s} v^s where s = gamma(a1) + gamma(a2) - gamma(a1*a2).
     """
-    key = (alpha1.value, alpha2.value)
-    hit = _jacobi_cache.get(key)
-    if hit is not None:
-        return hit
     t1, t2 = alpha1.is_trivial(), alpha2.is_trivial()
     if t1 and t2:
-        out = MotiveClass.lpow(1)
-    elif t1 or t2:
-        out = MotiveClass.zero()
-    elif (alpha1 * alpha2).is_trivial():
-        out = MotiveClass.from_scalar(-1)
-    else:
-        s = gamma(alpha1) + gamma(alpha2) - gamma(alpha1 * alpha2)
-        out = MotiveClass.h(1 - s, s, -1)
-    _jacobi_cache[key] = out
-    return out
+        return MotiveClass.lpow(1)
+    if t1 or t2:
+        return MotiveClass.zero()
+    if (alpha1 * alpha2).is_trivial():
+        return MotiveClass.from_scalar(-1)
+    s = gamma(alpha1) + gamma(alpha2) - gamma(alpha1 * alpha2)
+    return MotiveClass.h(1 - s, s, -1)
 
 
 def fermat_torus_class(alpha1: Character, alpha2: Character) -> MotiveClass:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import pi
 
@@ -99,23 +100,16 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-_dlog_cache: dict = {}
-
-
+@lru_cache(maxsize=32)
 def _dlog_table(p: int, c: int) -> dict:
-    key = (p, c)
-    hit = _dlog_cache.get(key)
-    if hit is None:
-        mod = p**c
-        g = _primitive_root(p, c)
-        table = {}
-        acc = 1
-        for k in range((p - 1) * p ** (c - 1)):
-            table[acc] = k
-            acc = acc * g % mod
-        hit = table
-        _dlog_cache[key] = hit
-    return hit
+    mod = p**c
+    g = _primitive_root(p, c)
+    table = {}
+    acc = 1
+    for k in range((p - 1) * p ** (c - 1)):
+        table[acc] = k
+        acc = acc * g % mod
+    return table
 
 
 class ResidueCharacter:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor, gcd
+from math import comb, factorial, floor, gcd, lcm
 
 from .gaussring import UElement
 from .motives import (
@@ -36,10 +36,6 @@ def _coerce(c):
     if isinstance(c, (int, Fraction, MotiveClass)):
         return MotiveFrac(c)
     raise TypeError(f"unsupported coefficient {c!r}")
-
-
-def _lpow(k: int) -> MotiveFrac:
-    return MotiveFrac(MotiveClass.lpow(k))
 
 
 def _shift(c, k: int):
@@ -124,20 +120,13 @@ def _binom_poly(k: int) -> list[Fraction]:
     return [c * inv for c in prod]
 
 
+@lru_cache(maxsize=1024)
 def _stirling2(j: int, t: int) -> int:
     if j == t == 0:
         return 1
     if j == 0 or t == 0 or t > j:
         return 0
-    key = (j, t)
-    hit = _stirling_cache.get(key)
-    if hit is None:
-        hit = t * _stirling2(j - 1, t) + _stirling2(j - 1, t - 1)
-        _stirling_cache[key] = hit
-    return hit
-
-
-_stirling_cache: dict = {}
+    return t * _stirling2(j - 1, t) + _stirling2(j - 1, t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +273,7 @@ class RationalSeries:
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        ds = [d for (_r, d, _a) in self.terms] + [d for (_r, d, _a) in other.terms]
-        step = 1
-        for d in ds:
-            step = step * d // gcd(step, d)
+        step = lcm(*(d for (_r, d, _a) in self.terms), *(d for (_r, d, _a) in other.terms))
         pa, ta = self._refined(step)
         pb, tb = other._refined(step)
         if set(pa) != set(pb) or set(ta) != set(tb):
@@ -482,9 +468,7 @@ def _lifted_numerator(num: dict, den: list, residue_zero: bool = False):
     if not work or not factors:
         return work, [], 1
 
-    d = 1
-    for (_a, b) in factors:
-        d = d * b // gcd(d, b)
+    d = lcm(*(b for (_a, b) in factors))
     last = max((n for n, (_a, b) in enumerate(factors) if b != d), default=-1)
     exps = []
     for n, (a, b) in enumerate(factors):
@@ -668,12 +652,12 @@ def _crt(r1: int, d1: int, r2: int, d2: int):
     g = gcd(d1, d2)
     if (r2 - r1) % g:
         return None
-    lcm = d1 * d2 // g
+    period = d1 * d2 // g
     # i = r1 + d1 * t,  d1 t = r2 - r1 (mod d2)
     d1g, d2g = d1 // g, d2 // g
     t = ((r2 - r1) // g * pow(d1g, -1, d2g)) % d2g
-    i0 = (r1 + d1 * t) % lcm
-    return i0, lcm
+    i0 = (r1 + d1 * t) % period
+    return i0, period
 
 
 def lambda_functional(series: RationalSeries):
@@ -741,11 +725,9 @@ def to_fraction(series: RationalSeries) -> tuple[dict, list]:
     return total, list(den)
 
 
+@lru_cache(maxsize=64)
 def _faulhaber(j: int) -> list[Fraction]:
     """Polynomial F_j with F_j(N) = sum_{n=0..N} n^j; F_j(-1) = 0."""
-    hit = _faulhaber_cache.get(j)
-    if hit is not None:
-        return hit
     # Lagrange interpolation through the j+2 nodes N = -1 .. j
     nodes = list(range(-1, j + 1))
     values = [Fraction(0)]  # empty sum at N = -1
@@ -765,12 +747,7 @@ def _faulhaber(j: int) -> list[Fraction]:
         scale = values[k] / denom
         for i, c in enumerate(basis):
             out[i] += c * scale
-    hit = _poly_trim(out)
-    _faulhaber_cache[j] = hit
-    return hit
-
-
-_faulhaber_cache: dict = {}
+    return _poly_trim(out)
 
 
 def _geometric_prefix_poly(p: list, a: int) -> list:
@@ -834,7 +811,8 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
             q = _geometric_prefix_poly(npoly, a)
             const = -_shift(_poly_eval(q, -1), -a)
         plain = _poly_trim(list(q))
-        lagged = _poly_trim([_shift(x, -a) for x in _poly_compose_affine(q, 1, -1)])
+        # offsets rho < r read the lagged sum; with r = 0 there are none
+        lagged = _poly_trim([_shift(x, -a) for x in _poly_compose_affine(q, 1, -1)]) if r else []
         parts.append((r, d, a, plain, lagged, const))
     out = _grouped_prefix_sums(series.poly, parts)
     if out is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from .arcs import (
     MonomialGeometry,
@@ -217,16 +217,14 @@ def sg_direct_product(left: MonomialGeometry, right: MonomialGeometry) -> UEleme
     )
     tail = multiply(seed_series, rs_normalize({1: MotiveFrac(lm1).mul_lpow(-1)}, [(-1, 1)]))
 
-    orders = left.order_gcd * right.order_gcd // gcd(left.order_gcd, right.order_gcd)
+    orders = lcm(left.order_gcd, right.order_gcd)
     gauss = {}
     scalar = None
     for alpha in characters_of_order_dividing(orders):
         z_direct = RationalSeries.zero()
-        left_ok = (gamma(alpha) * left.order_gcd).denominator == 1
-        right_ok = (gamma(alpha) * right.order_gcd).denominator == 1
-        if left_ok:
+        if _passes(left, alpha):
             z_direct = z_direct + off_l
-        if right_ok:
+        if _passes(right, alpha):
             z_direct = z_direct + off_r
         fsum = _diag_fermat_sum(left, right, alpha)
         if fsum:
