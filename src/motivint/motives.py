@@ -260,7 +260,7 @@ def divide_by_l_diff(cls: MotiveClass, a: int, b: int) -> MotiveClass:
 class MotiveFrac:
     """A MotiveClass divided by a multiset of factors (L^a - L^b)."""
 
-    __slots__ = ("num", "den", "_den_cls")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
         self.num = _as_class(num)
@@ -270,7 +270,6 @@ class MotiveFrac:
             if a == b:
                 raise ValueError("denominator factor L^a - L^b must be nonzero")
         self.den = () if not self.num else tuple(sorted((int(a), int(b)) for a, b in den))
-        self._den_cls = None
 
     # -- constructors -------------------------------------------------
 
@@ -280,7 +279,6 @@ class MotiveFrac:
         out = MotiveFrac.__new__(MotiveFrac)
         out.num = num
         out.den = den if num.terms else ()
-        out._den_cls = None
         return out
 
     @staticmethod
@@ -290,16 +288,6 @@ class MotiveFrac:
     @staticmethod
     def one() -> "MotiveFrac":
         return MotiveFrac(MotiveClass.one())
-
-    @staticmethod
-    def lpow(k: int) -> "MotiveFrac":
-        return MotiveFrac(MotiveClass.lpow(k))
-
-    def den_class(self) -> MotiveClass:
-        """The denominator expanded as a MotiveClass."""
-        if self._den_cls is None:
-            self._den_cls = _product(self.den)
-        return self._den_cls
 
     # -- arithmetic ----------------------------------------------------
 
@@ -369,7 +357,7 @@ class MotiveFrac:
             return False
         if self.den == other.den:
             return self.num == other.num
-        return self.num * other.den_class() == other.num * self.den_class()
+        return self.num * _product(other.den) == other.num * _product(self.den)
 
     def __hash__(self):  # hash only safe on normalized zero / equal-den cases
         return hash(bool(self.num))

@@ -268,7 +268,11 @@ def padic_exp_integral(f: IntPolynomial, ctx: PadicContext, phi, i: int) -> comp
     m = max(f.nvars, 1)
     mod = ctx.p ** (i + 1)
     buckets = _value_buckets(f, ctx, phi, m, mod)
-    norm = Fraction(1, ctx.p ** (ctx.precision * m))
+    return _psi_sum(buckets, Fraction(1, ctx.p ** (ctx.precision * m)), mod)
+
+
+def _psi_sum(buckets: dict, norm: Fraction, mod: int) -> complex:
+    """Sum of w * norm * Psi(val / mod) over the value buckets."""
     total = 0j
     for val, w in buckets.items():
         total += float(w * norm) * additive_character(val, mod)
@@ -286,7 +290,12 @@ def padic_char_integral(
     p = ctx.p
     mod = p ** (i + c)
     buckets = _value_buckets(f, ctx, phi, m, mod)
-    norm = Fraction(1, p ** (ctx.precision * m))
+    return _char_sum(buckets, Fraction(1, p ** (ctx.precision * m)), alpha, p, i)
+
+
+def _char_sum(buckets: dict, norm: Fraction, alpha: ResidueCharacter, p: int, i: int) -> complex:
+    """Sum of w * norm * alpha(ac val) over the value buckets with ord_p val = i."""
+    c = alpha.conductor
     total = 0j
     pi_i = p**i
     for val, w in buckets.items():
@@ -352,26 +361,13 @@ def check_exp_decomposition(f: IntPolynomial, ctx: PadicContext, phi, i: int) ->
     buckets = _value_buckets(f, ctx, phi, m, mod)
     norm = Fraction(1, p ** (ctx.precision * m))
 
-    lhs = 0j
-    for val, w in buckets.items():
-        lhs += float(w * norm) * additive_character(val, mod)
-
+    lhs = _psi_sum(buckets, norm, mod)
     measure = float(
         sum((w for val, w in buckets.items() if val % mod == 0), Fraction(0)) * norm
     )
     rhs = complex(measure)
     for alpha in characters_mod(p, i + 1):
-        c = alpha.conductor
-        j = i - c + 1
-        pj = p**j
-        z = 0j
-        for val, w in buckets.items():
-            if val % pj:
-                continue
-            unit = val // pj
-            if unit % p == 0:
-                continue
-            z += float(w * norm) * alpha.value(unit % p**c)
+        z = _char_sum(buckets, norm, alpha, p, i - alpha.conductor + 1)
         if z != 0:
             rhs += gauss_sum_numeric(ctx, alpha.inverse()) * z / (p - 1)
     return DecompositionReport(lhs=lhs, rhs=rhs)

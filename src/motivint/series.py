@@ -287,7 +287,8 @@ class RationalSeries:
         return True
 
     def __hash__(self):
-        return hash((len(self.poly), len(self.terms)))
+        # equality refines the terms but compares the Laurent exponents as they are
+        return hash(frozenset(self.poly))
 
     def _refined(self, step: int):
         """Rewrite all terms at the common step; returns (poly, terms at step)."""
@@ -376,64 +377,6 @@ def _lift(num: MotiveClass, den: tuple, common: tuple) -> MotiveClass:
     """num over den rewritten over the larger common denominator."""
     extra = _multiset_sub(common, den)
     return num * _product(extra) if extra else num
-
-
-class _ChainSum:
-    """One coefficient's running sum, as numerators grouped by denominator."""
-
-    __slots__ = ("image", "groups", "den")
-
-    def __init__(self):
-        self.image = 0
-        self.groups: dict = {}  # empty exactly when the running sum is zero
-        self.den: tuple = ()
-
-    def add(self, v) -> bool:
-        """acc = acc + v; False when v has no image."""
-        if not v:
-            return True
-        img = _image(v)
-        if img is None:
-            return False
-        self.image = (self.image + img) % _IMAGE_PRIME
-        group = self.groups.get(v.den)
-        self.groups[v.den] = v.num if group is None else group + v.num
-        self.den = _multiset_union(self.den, v.den)
-        if not self.image and not self.numerator():
-            # the running sum vanished: its denominator starts afresh
-            self.groups = {}
-            self.den = ()
-        return True
-
-    def numerator(self) -> MotiveClass:
-        num = MotiveClass.zero()
-        for den, group in self.groups.items():
-            if group:
-                num = num + _lift(group, den, self.den)
-        return num
-
-    def value(self) -> MotiveFrac:
-        return MotiveFrac._fast(self.numerator(), self.den)
-
-
-def _chain_poly_sum(polys: list):
-    """_poly_add over nonempty polys in order, one _ChainSum per
-    coefficient slot; None when a coefficient has no image, or when the
-    running sum empties on the way and ends nonzero (one by one, its key
-    would then move to the end of its dict)."""
-    if len(polys) == 1:
-        return list(polys[0])
-    chains: list = []
-    emptied = False
-    for poly in polys:
-        while len(chains) < len(poly):
-            chains.append(_ChainSum())
-        for chain, c in zip(chains, poly):
-            if not chain.add(c):
-                return None
-        emptied = emptied or not any(chain.groups for chain in chains)
-    total = _poly_trim([chain.value() for chain in chains])
-    return None if emptied and total else total
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +773,11 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
 
 
 def _grouped_prefix_sums(poly: dict, parts: list):
-    """prefix_sums with each (d, a) group summed at once, or None when a
-    group declines: _staircase for d > 1, _chain_poly_sum for d = 1.
+    """prefix_sums with each (d, a) group summed at once by _staircase, or
+    None when a group declines.
 
     One by one, a key enters its dict at its first nonzero addition and
-    leaves it only when its sum empties; both group sums decline when a sum
+    leaves it only when its sum empties; the staircase declines when a sum
     empties on the way and ends nonzero, so the keys keep the order of
     their first additions.  A Laurent entry c T^i adds c at (0, 1, 0) and
     -c at T^0 ... T^{i-1}, which are written directly.
@@ -842,7 +785,7 @@ def _grouped_prefix_sums(poly: dict, parts: list):
     groups: dict = {}  # (d, a) -> additions (r, plain, lagged), in order
     keys: dict = {}  # (rho, d, a) -> None, in order of first addition
     for c in poly.values():
-        groups.setdefault((1, 0), []).append((0, [c], None))
+        groups.setdefault((1, 0), []).append((0, [c], []))
         keys.setdefault((0, 1, 0))
     for r, d, a, plain, lagged, const in parts:
         groups.setdefault((d, a), []).append((r, plain, lagged))
@@ -850,15 +793,11 @@ def _grouped_prefix_sums(poly: dict, parts: list):
             if lagged if rho < r else plain:
                 keys.setdefault((rho, d, a))
         if const:
-            groups.setdefault((1, 0), []).append((0, [const], None))
+            groups.setdefault((1, 0), []).append((0, [const], []))
             keys.setdefault((0, 1, 0))
     sums: dict = {}
     for (d, a), items in groups.items():
-        if d > 1:
-            group = _staircase(items, d)
-        else:
-            total = _chain_poly_sum([plain for _r, plain, _lagged in items if plain])
-            group = None if total is None else {0: total}
+        group = _staircase(items, d)
         if group is None:
             return None
         sums.update(((rho, d, a), npoly) for rho, npoly in group.items())
@@ -874,25 +813,21 @@ def _staircase(items: list, d: int):
     """For each rho < d, the sum over items (r, plain, lagged), in order, of
     ``lagged if rho < r else plain``, as _poly_add would build it one at a time.
 
-    By the rule for chains of additions (see _ChainSum), each coefficient
-    slot is lifted once to the union of all its denominators; going up in
-    rho, a term moves from lagged to plain at rho = r, which is one class
-    addition; and the numerator over the offset's own D is an exact division.
+    By the rule for chains of additions, each coefficient slot first adds
+    the numerators of equal (r, plain or lagged, denominator) and lifts each
+    such group once to the union of all the slot's denominators.  Going up
+    in rho, the items at offset r move from lagged to plain at rho = r,
+    which is one class addition per distinct offset.  rho's own D is the
+    union of the plain denominators at offsets <= rho and the lagged ones
+    above, and its numerator is an exact division of the lifted sum.
 
     Returns {rho: polynomial} for the offsets that some item reaches, with []
-    where the whole sum vanishes, or None when a running sum may vanish
-    before the end, or only some coefficients vanish at the end (then the
-    caller adds one at a time).
+    where the whole sum vanishes, or None when a running sum may vanish on
+    the way and end nonzero, or only some coefficients vanish at the end
+    (then the caller adds one at a time).
     """
     prime = _IMAGE_PRIME
-    order = sorted(range(len(items)), key=lambda t: items[t][0])
-    # rho's choice is plain for the first cut[rho] items in order of r
-    cut = []
-    k = 0
-    for rho in range(d):
-        while k < len(order) and items[order[k]][0] <= rho:
-            k += 1
-        cut.append(k)
+    offsets = sorted({r for r, _plain, _lagged in items})
     widths = [
         max((len(lagged if rho < r else plain) for r, plain, lagged in items), default=0)
         for rho in range(d)
@@ -900,55 +835,66 @@ def _staircase(items: list, d: int):
     out: dict = {rho: [] for rho in range(d) if widths[rho]}
     vanishing: dict = {rho: 0 for rho in out}  # slots whose sum ends at zero
     for j in range(max(widths)):
-        # per item: (plain entry, lagged entry) at slot j, 0 if absent
-        column = [
-            tuple(poly[j] if j < len(poly) else 0 for poly in (plain, lagged))
-            for _r, plain, lagged in items
-        ]
-        image = {}
-        den_all: tuple = ()
-        for pair in column:
-            for e in pair:
-                if e:
-                    image[id(e)] = img = _image(e)
-                    if img is None:
-                        return None
-                    den_all = _multiset_union(den_all, e.den)
-        lifted = {id(e): _lift(e.num, e.den, den_all) for pair in column for e in pair if e}
-        # no running sum may vanish before the last nonzero entry
+        images = []  # per item: images of its (plain, lagged) entries, None for 0
+        groups: dict = {}  # (r, lagged?, den) -> sum of numerators
+        for r, plain, lagged in items:
+            pair = []
+            for kind, poly in enumerate((plain, lagged)):
+                e = poly[j] if j < len(poly) else 0
+                if not e:
+                    pair.append(None)
+                    continue
+                img = _image(e)
+                if img is None:
+                    return None
+                pair.append(img)
+                key = (r, kind, e.den)
+                num = groups.get(key)
+                groups[key] = e.num if num is None else num + e.num
+            images.append(pair)
+        # a running sum that vanishes on the way restarts its D; that is
+        # harmless only when the whole offset ends at zero (its key leaves)
         ends_zero = set()
         for rho in out:
             if j >= widths[rho]:
                 continue
             acc = None  # until the first nonzero entry
-            for (r, _plain, _lagged), pair in zip(items, column):
-                e = pair[1] if rho < r else pair[0]
-                if e:
-                    if acc == 0:
-                        return None
-                    acc = ((acc or 0) + image[id(e)]) % prime
+            dipped = False
+            for (r, _plain, _lagged), pair in zip(items, images):
+                img = pair[1] if rho < r else pair[0]
+                if img is not None:
+                    dipped = dipped or acc == 0
+                    acc = ((acc or 0) + img) % prime
             if not acc:
                 ends_zero.add(rho)
-        column = [column[t] for t in order]
-        plain_den: list = [()]
-        for plain_e, _lagged_e in column:
-            plain_den.append(_multiset_union(plain_den[-1], plain_e.den if plain_e else ()))
-        lagged_den: list = [()]
-        for _plain_e, lagged_e in reversed(column):
-            lagged_den.append(_multiset_union(lagged_den[-1], lagged_e.den if lagged_e else ()))
+            elif dipped:
+                return None
+        den_all: tuple = ()
+        for _r, _kind, den in groups:
+            den_all = _multiset_union(den_all, den)
+        dens = {key: () for r in offsets for key in ((r, 0), (r, 1))}
+        steps = {r: MotiveClass.zero() for r in offsets}  # plain minus lagged
+        total = MotiveClass.zero()  # every item lagged
+        for (r, kind, den), num in groups.items():
+            dens[r, kind] = _multiset_union(dens[r, kind], den)
+            if num:
+                lifted = _lift(num, den, den_all)
+                if kind:
+                    total = total + lifted
+                    steps[r] = steps[r] - lifted
+                else:
+                    steps[r] = steps[r] + lifted
+        plain_den: list = [()]  # [k]: plain denominators of the first k offsets
+        for r in offsets:
+            plain_den.append(_multiset_union(plain_den[-1], dens[r, 0]))
+        lagged_den: list = [()]  # [k]: lagged denominators of offsets[k:]
+        for r in reversed(offsets):
+            lagged_den.append(_multiset_union(lagged_den[-1], dens[r, 1]))
         lagged_den.reverse()
-        total = MotiveClass.zero()
-        for _plain_e, lagged_e in column:
-            if lagged_e:
-                total = total + lifted[id(lagged_e)]
         k = 0
         for rho in range(d):
-            while k < cut[rho]:
-                plain_e, lagged_e = column[k]
-                if plain_e:
-                    total = total + lifted[id(plain_e)]
-                if lagged_e:
-                    total = total - lifted[id(lagged_e)]
+            while k < len(offsets) and offsets[k] <= rho:
+                total = total + steps[offsets[k]]
                 k += 1
             if rho not in out or j >= widths[rho]:
                 continue

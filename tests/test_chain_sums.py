@@ -1,8 +1,8 @@
 """Closed forms assembled by chain sums against one-by-one addition.
 
-``prefix_sums`` sums each (d, a) group of its additions at once
-(``series._staircase`` for d > 1, ``series._chain_poly_sum`` for d = 1) and
-builds the whole series one addition at a time when a group declines;
+``prefix_sums`` sums each (d, a) group of its additions at once with one
+routine, ``series._staircase``, and builds the whole series one addition at
+a time when a group declines;
 ``rs_normalize`` and ``_geometric_prefix_poly`` solve partial fractions and
 geometric prefix sums in fewer operations.  The reference functions below
 add one coefficient at a time, in the original order, with their own
@@ -12,15 +12,16 @@ denominators, and the order of the series' keys.
 
 import json
 import random
+from itertools import zip_longest
 from math import comb
 
 from motivint import arcs
+from motivint.arcs import MonomialGeometry
 from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
 from motivint.motives import MotiveClass, MotiveFrac, _multiset_union
 from motivint.series import (
     RationalSeries,
     _binom_poly,
-    _chain_poly_sum,
     _faulhaber,
     _geometric_prefix_poly,
     _lifted_numerator,
@@ -181,70 +182,68 @@ def test_multiset_union_is_max_multiplicity():
         assert _multiset_union(a, b) == tuple(want)
 
 
-def test_chain_sums_match_one_by_one_bytes():
-    # the d = 1 group sum: one _ChainSum per coefficient slot gives the bytes
-    # of one-by-one _poly_add, and declines exactly when the running sum
-    # empties on the way and ends nonzero (one by one, its key would then
-    # move to the end of its dict)
-    rng = random.Random(4242)
-    emptied = declined = 0
-    for _ in range(300):
-        values = _chain_values(rng, 40)
-        polys, acc, was_empty = [], [], False
-        for _ in range(rng.randint(1, 12)):
-            u = rng.random()
-            if u < 0.2 and acc:  # cancel the whole running sum
-                poly = [-c for c in acc]
-            elif u < 0.4 and acc:  # cancel some slots
-                poly = _ref_trim([-c if rng.random() < 0.5 else rng.choice(values) for c in acc])
-            else:
-                poly = _ref_trim([rng.choice(values) for _ in range(rng.randint(1, 3))])
-            if not poly:
-                continue
-            polys.append(poly)
-            acc = _ref_add(acc, poly)
-            was_empty = was_empty or not acc
-        got = _chain_poly_sum(polys)
-        emptied += was_empty
-        if was_empty and acc:
-            declined += 1
-            assert got is None, polys
-        else:
-            assert [motive_frac_to_json(c) for c in got] == [
-                motive_frac_to_json(c) for c in acc
-            ], polys
-    assert emptied > 20 and declined > 50
+def _one_by_one(items, rho):
+    """The sum at offset rho of a staircase group, one _ref_add at a time;
+    also whether a coefficient's running sum vanished on the way."""
+    acc, dipped = [], False
+    for r, plain, lagged in items:
+        chosen = lagged if rho < r else plain
+        if chosen:
+            before, acc = acc, _ref_add(acc, chosen)
+            dipped = dipped or any(b and not a for b, a in zip_longest(before, acc, fillvalue=0))
+    return acc, dipped
 
 
 def test_staircase_matches_one_by_one_bytes():
-    rng = random.Random(777)
-    summed = 0
-    for _ in range(100):
-        d = rng.randint(2, 7)
+    # each (d, a) group of prefix_sums, d = 1 included: the staircase gives
+    # the bytes of one-by-one _poly_add at every offset, or declines; items
+    # at repeated offsets cancel the whole running sum of an offset or some
+    # of its coefficients, so that sums vanish on the way and at the end
+    rng = random.Random(4242)
+    summed = declined = dipped_summed = 0
+    for _ in range(300):
+        values = _chain_values(rng, 40)
+        d = rng.choice([1, 1, 1, 2, 3, 5, 7])
         items = []
-        for r in rng.sample(range(d), rng.randint(2, d)):
-            plain = _ref_trim(_chain_values(rng, rng.randint(1, 3))[:3])
-            lagged = _ref_trim(_chain_values(rng, rng.randint(1, 3))[:3])
-            if rng.random() < 0.2:
-                lagged = [-x for x in items[-1][1]] if items else lagged
+        for _ in range(rng.randint(1, 12)):
+            r = rng.randrange(d)
+            plain, lagged = (
+                _ref_trim([rng.choice(values) for _ in range(rng.randint(0, 3))])
+                for _ in range(2)
+            )
+            rho = rng.randrange(d)
+            acc, _ = _one_by_one(items, rho)
+            u = rng.random()
+            if u < 0.4 and acc:  # cancel rho's whole running sum, or some slots
+                cancel = _ref_trim(
+                    [-c if u < 0.2 or rng.random() < 0.5 else rng.choice(values) for c in acc]
+                )
+                if rho < r:
+                    lagged = cancel
+                else:
+                    plain = cancel
             items.append((r, plain, lagged))
         got = _staircase(items, d)
+        sums = [_one_by_one(items, rho) for rho in range(d)]
         if got is None:
+            declined += 1
+            # only a sum that vanishes on the way and ends nonzero, or ends
+            # with some coefficients zero, makes it decline
+            assert any(
+                acc and (dipped or not all(acc)) for acc, dipped in sums
+            ), items
             continue
         summed += 1
-        for rho in range(d):
-            acc = []
-            for r, plain, lagged in items:
-                chosen = lagged if rho < r else plain
-                if chosen:
-                    acc = _ref_add(acc, chosen)
+        # a sum that vanishes on the way is summed when its offset ends at 0
+        dipped_summed += any(dipped for _acc, dipped in sums)
+        for rho, (acc, _dipped) in enumerate(sums):
             if rho in got:
                 assert [motive_frac_to_json(c) for c in got[rho]] == [
                     motive_frac_to_json(c) for c in acc
                 ], (items, rho)
             else:
                 assert not acc
-    assert summed > 50
+    assert summed > 100 and declined > 150 and dipped_summed > 30
 
 
 def test_geometric_prefix_poly_matches_one_by_one_bytes():
@@ -262,8 +261,14 @@ def test_geometric_prefix_poly_matches_one_by_one_bytes():
 
 
 def _sample_geometries():
-    """Every 90th criterion-7 geometry (steps up to 60) and ten twisted ones."""
-    return list(all_geometries(3, 6))[::90] + twisted_geometries(random.Random(5), 10)
+    """Every 90th criterion-7 geometry (steps up to 60), ten twisted ones,
+    and x^2 y^3 z^6 on {z = 0}, whose (1, 0) group empties twice on the way
+    and ends at zero."""
+    return (
+        list(all_geometries(3, 6))[::90]
+        + twisted_geometries(random.Random(5), 10)
+        + [MonomialGeometry.make(3, [2, 3, 6], None, [3])]
+    )
 
 
 def test_rs_normalize_matches_one_by_one_bytes():

@@ -221,6 +221,15 @@ def test_series_equality_cross_step():
     assert not (a == rs_normalize({1: 1}, [(1, 1)]))
 
 
+def test_equal_series_hash_alike():
+    # one step-1 term against two step-2 terms: equal, so the hashes agree
+    a = rs_normalize({0: 1}, [(0, 1)])
+    b = rs_normalize({0: 1, 1: 1}, [(0, 2)])
+    assert (len(a.terms), len(b.terms)) == (1, 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_to_fraction_round_trip():
     rng = random.Random(333)
     for _ in range(25):
