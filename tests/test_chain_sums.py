@@ -194,6 +194,52 @@ def _one_by_one(items, rho):
     return acc, dipped
 
 
+def test_chain_sums_match_one_by_one_bytes():
+    # the d = 1 group sum, a single chain of polynomials at offset 0: the
+    # staircase gives the bytes of one-by-one _poly_add, or declines only
+    # when a coefficient's running sum vanishes on the way and ends nonzero,
+    # or some coefficients end at zero; a chain whose whole running sum
+    # empties on the way and ends at zero is summed, to []
+    rng = random.Random(4242)
+    emptied = declined = emptied_summed = 0
+    for _ in range(300):
+        values = _chain_values(rng, 40)
+        polys, acc, was_empty = [], [], False
+        for _ in range(rng.randint(1, 12)):
+            u = rng.random()
+            if u < 0.2 and acc:  # cancel the whole running sum
+                poly = [-c for c in acc]
+            elif u < 0.4 and acc:  # cancel some slots
+                poly = _ref_trim([-c if rng.random() < 0.5 else rng.choice(values) for c in acc])
+            else:
+                poly = _ref_trim([rng.choice(values) for _ in range(rng.randint(1, 3))])
+            if not poly:
+                continue
+            polys.append(poly)
+            acc = _ref_add(acc, poly)
+            was_empty = was_empty or not acc
+        if not polys:
+            continue
+        items = [(0, poly, []) for poly in polys]
+        got = _staircase(items, 1)
+        emptied += was_empty
+        want, dipped = _one_by_one(items, 0)
+        assert want == acc
+        if got is None:
+            declined += 1
+            assert acc and (dipped or not all(acc)), polys
+            continue
+        emptied_summed += was_empty
+        assert [motive_frac_to_json(c) for c in got[0]] == [
+            motive_frac_to_json(c) for c in acc
+        ], polys
+    assert emptied > 20 and declined > 50 and emptied_summed > 30, (
+        emptied,
+        declined,
+        emptied_summed,
+    )
+
+
 def test_staircase_matches_one_by_one_bytes():
     # each (d, a) group of prefix_sums, d = 1 included: the staircase gives
     # the bytes of one-by-one _poly_add at every offset, or declines; items
