@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .characters import Character, characters_of_order_dividing, gamma
+from .characters import Character, characters_of_order_dividing
 from .gaussring import UElement
 from .motives import MotiveClass, MotiveFrac, fermat_torus_class
 from .series import RationalSeries, prefix_sums, rs_normalize
@@ -27,12 +27,17 @@ class GeometryError(ValueError):
     """Raised for data violating the monomial normal-crossings invariants."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # bool is an int subclass
+
+
 @dataclass(frozen=True)
 class MonomialGeometry:
     """Ambient dimension, exponents of f and g, and the hyperplane index set.
 
     ``w_indices`` is 1-based; every index i in it must have f-exponent >= 1,
-    so that the hyperplane union is contained in the zero locus of f.
+    so that the hyperplane union is contained in the zero locus of f.  The
+    invariants are checked once, at construction, so every geometry is valid.
     """
 
     m: int
@@ -42,13 +47,13 @@ class MonomialGeometry:
 
     @staticmethod
     def make(m, f_exponents, g_exponents=None, w_indices=()) -> "MonomialGeometry":
-        f_exp = tuple(int(n) for n in f_exponents)
-        g_exp = tuple(int(n) for n in (g_exponents if g_exponents is not None else [0] * m))
-        geom = MonomialGeometry(int(m), f_exp, g_exp, frozenset(int(i) for i in w_indices))
-        geom.validate()
-        return geom
+        f_exp = tuple(f_exponents)
+        g_exp = tuple(g_exponents) if g_exponents is not None else (0,) * len(f_exp)
+        return MonomialGeometry(m, f_exp, g_exp, frozenset(w_indices))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if not all(map(_is_int, (self.m, *self.f_exponents, *self.g_exponents, *self.w_indices))):
+            raise GeometryError("dimension, exponents and hyperplane indices must be integers")
         if self.m < 1:
             raise GeometryError("ambient dimension must be >= 1")
         if len(self.f_exponents) != self.m or len(self.g_exponents) != self.m:
@@ -78,10 +83,7 @@ class MonomialGeometry:
 
     @property
     def order_gcd(self) -> int:
-        g = 0
-        for n in self.f_exponents:
-            g = gcd(g, n)
-        return g
+        return gcd(*self.f_exponents)
 
     def characters(self) -> list[Character]:
         """All characters that can meet f: order dividing gcd of the exponents."""
@@ -95,7 +97,7 @@ def big_d(geom: MonomialGeometry) -> int:
 
 def _passes(geom: MonomialGeometry, alpha: Character) -> bool:
     """Whether alpha pulls back trivially along the leading monomial of f."""
-    return (gamma(alpha) * geom.order_gcd).denominator == 1
+    return geom.order_gcd % alpha.order == 0
 
 
 # Memo bounds.  Entries keyed by a geometry alone (its free factor, zeta
@@ -151,7 +153,6 @@ def _lattice_sum(geom: MonomialGeometry, i: int) -> MotiveClass:
 
 def char_integral(geom: MonomialGeometry, alpha: Character, i: int) -> MotiveFrac:
     """Integral of alpha(ac f) L^{-ord g} over arcs from W with ord f = i."""
-    geom.validate()
     if i < 0:
         raise GeometryError("contact order must be nonnegative")
     if not _passes(geom, alpha):
@@ -192,7 +193,6 @@ def _zeta_common(geom: MonomialGeometry) -> RationalSeries:
 
 def zeta_series(geom: MonomialGeometry, alpha: Character) -> RationalSeries:
     """Generating series over i > 0 of char_integral(geom, alpha, i)."""
-    geom.validate()
     if not _passes(geom, alpha):
         return RationalSeries.zero()
     return _zeta_common(geom)
@@ -200,7 +200,6 @@ def zeta_series(geom: MonomialGeometry, alpha: Character) -> RationalSeries:
 
 def measure_total(geom: MonomialGeometry) -> MotiveFrac:
     """The g-twisted motivic measure of all arcs based on W."""
-    geom.validate()
     sup = geom.support
     lm1 = MotiveClass.lpow(1) - 1
     w_pos = sorted(j for j in sup if (j + 1) in geom.w_indices)
@@ -244,14 +243,12 @@ def measure_series(geom: MonomialGeometry) -> RationalSeries:
     so the whole series is (M0 T - Z(T))/(1 - T) with M0 the full measure;
     the division by 1 - T is a termwise prefix sum.
     """
-    geom.validate()
     head = RationalSeries(poly={1: measure_total(geom)})
     return prefix_sums(head - _zeta_common(geom))
 
 
 def exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
     """Coefficient of the exponential series: measure part plus Gauss-twisted characters."""
-    geom.validate()
     base = char_integral(geom, Character.trivial(), i)
     scaled = base.div_lpow_diff(1, 0)
     gauss = {}
@@ -263,7 +260,6 @@ def exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
 
 def exp_series(geom: MonomialGeometry) -> RationalSeries:
     """Closed form over the Gauss-sum ring of the exponential coefficients, i > 0."""
-    geom.validate()
     twist = UElement(-1, {alpha.inverse(): 1 for alpha in geom.characters() if not alpha.is_trivial()})
     twist = twist.div_lpow_diff(1, 0)
     z_u = zeta_series(geom, Character.trivial()).map_coefficients(lambda c: twist * c)
@@ -317,8 +313,6 @@ def ts_direct_zeta(
     character factorizations; equal orders below i contribute only for the
     trivial character, through a geometric tail with ratio 1/L.
     """
-    left.validate()
-    right.validate()
     if i < 0:
         raise GeometryError("contact order must be nonnegative")
     out = char_integral(left, alpha, i) * measure_gt(right, i)

@@ -479,13 +479,11 @@ def torus_char_class(exponents, alpha: Character) -> MotiveClass:
     if any(n < 0 for n in exponents):
         raise ValueError("exponents must be nonnegative")
     m = len(exponents)
-    g = 0
-    for n in exponents:
-        g = gcd(g, n)
+    g = gcd(*exponents)
     if g == 0:
         trivial_pullback = alpha.is_trivial()
     else:
-        trivial_pullback = (gamma(alpha) * g).denominator == 1
+        trivial_pullback = g % alpha.order == 0
     if not trivial_pullback:
         return MotiveClass.zero()
     return (MotiveClass.lpow(1) - 1) ** m

@@ -670,26 +670,17 @@ def to_fraction(series: RationalSeries) -> tuple[dict, list]:
 
 @lru_cache(maxsize=64)
 def _faulhaber(j: int) -> list[Fraction]:
-    """Polynomial F_j with F_j(N) = sum_{n=0..N} n^j; F_j(-1) = 0."""
-    # Lagrange interpolation through the j+2 nodes N = -1 .. j
-    nodes = list(range(-1, j + 1))
-    values = [Fraction(0)]  # empty sum at N = -1
-    acc = Fraction(0)
-    for n in range(0, j + 1):
-        acc += Fraction(n) ** j if j else Fraction(1)
-        values.append(acc)
+    """Polynomial F_j with F_j(N) = sum_{n=0..N} n^j; F_j(-1) = 0.
+
+    F_j = sum_t S(j,t) t! C(N+1, t+1), from n^j = sum_t S(j,t) t! C(n,t).
+    """
     out = [Fraction(0)] * (j + 2)
-    for k, xk in enumerate(nodes):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for l, xl in enumerate(nodes):
-            if l == k:
-                continue
-            basis = _poly_mul(basis, [Fraction(-xl), Fraction(1)])
-            denom *= Fraction(xk - xl)
-        scale = values[k] / denom
-        for i, c in enumerate(basis):
-            out[i] += c * scale
+    falling = [Fraction(1)]  # (N+1) N ... (N+1-t) = (t+1)! C(N+1, t+1)
+    for t in range(j + 1):
+        falling = _poly_mul(falling, [Fraction(1 - t), Fraction(1)])
+        w = Fraction(_stirling2(j, t), t + 1)  # S(j,t) t! / (t+1)!
+        for i, c in enumerate(falling):
+            out[i] += c * w
     return _poly_trim(out)
 
 
@@ -697,22 +688,15 @@ def _geometric_prefix_poly(p: list, a: int) -> list:
     """q with q(N) L^{Na} - q(N-1) L^{(N-1)a} = p(N) L^{Na}, for a != 0.
 
     Then sum_{n=0..N} p(n) L^{na} = q(N) L^{Na} - q(-1) L^{-a}.  Solved from
-    the top degree down: each step sets the top coefficient of the residual
-    p - q + L^{-a} q(N-1), whose higher coefficients are then zero.
+    the top degree down: coefficient j of the residual
+    p - q + L^{-a} q(N-1) depends only on q_j, q_{j+1}, ..., and setting q_j
+    from it makes it zero.
     """
     q: list = [0] * len(p)
-    k = len(p) - 1
-    top = p[k] if p else 0
-    while top:
-        q[k] = q[k] + _shift(top, a).div_lpow_diff(a, 0)
-        if _geometric_residual(p, q, a, k):
-            raise AssertionError("geometric prefix solve failed to reduce degree")
-        top = 0
-        for j in range(k - 1, -1, -1):
-            top = _geometric_residual(p, q, a, j)
-            if top:
-                k = j
-                break
+    for j in range(len(p) - 1, -1, -1):
+        res = _geometric_residual(p, q, a, j)
+        if res:
+            q[j] = _shift(res, a).div_lpow_diff(a, 0)
     return _poly_trim(q)
 
 

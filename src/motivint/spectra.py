@@ -106,7 +106,6 @@ def _psi_class(geom: MonomialGeometry) -> MotiveFrac:
 
 def s_psi(geom: MonomialGeometry, alpha: Character) -> MotiveFrac:
     """Nearby-cycle class: L^m/(1-L) times the T=infinity constant term of the zeta series."""
-    geom.validate()
     if not _passes(geom, alpha):
         return MotiveFrac.zero()
     return _psi_class(geom)
@@ -125,7 +124,6 @@ def sg(geom: MonomialGeometry) -> UElement:
 
     Every character of the geometry meets f, so all share one s_psi.
     """
-    geom.validate()
     psi = _psi_class(geom)
     gauss = {alpha.inverse(): psi for alpha in geom.characters() if not alpha.is_trivial()}
     return UElement(-(psi - chi_c_w(geom)), gauss)

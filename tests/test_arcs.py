@@ -52,6 +52,11 @@ def test_geometry_validation():
         char_integral(X1, TRIV, -1)
 
 
+def test_geometry_is_checked_at_construction():
+    with pytest.raises(GeometryError, match="positive f-exponent"):
+        MonomialGeometry(1, (0,), (0,), frozenset({1}))
+
+
 def test_char_integral_examples():
     assert char_integral(X2, HALF, 4) == MotiveFrac((L(1) - 1).shift(-3))
     assert char_integral(X2, HALF, 3) == 0

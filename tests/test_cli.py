@@ -181,6 +181,21 @@ def test_invalid_geometry_is_error(tmp_path, capsys):
     assert "error" in payload
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"ambient_dim": True, "f_exponents": [2.7], "w_indices": "1"},
+        {"ambient_dim": 1, "f_exponents": [2.7], "w_indices": [1]},
+        {"ambient_dim": 2, "f_exponents": [1, 1], "w_indices": "12"},
+    ],
+)
+def test_non_integer_geometry_is_error(tmp_path, capsys, obj):
+    geom = write_geom(tmp_path, "bad.json", obj)
+    code, payload = run_cli(capsys, "sg", "--geometry", geom)
+    assert code == 2
+    assert "must be integers" in payload["error"]
+
+
 def test_output_deterministic(tmp_path, capsys):
     geom = write_geom(tmp_path, "y3.json", Y3)
     code1 = main(["sg", "--geometry", geom, "--output", str(tmp_path / "a.json")])

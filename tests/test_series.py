@@ -15,6 +15,7 @@ from motivint.series import (
     lambda_of_fraction,
     multiply,
     rs_normalize,
+    _faulhaber,
     tau,
     to_fraction,
 )
@@ -269,3 +270,11 @@ def test_multiply_cauchy():
     assert sq == rs_normalize({2: 1}, [(0, 1), (0, 1)])
     zero = multiply(RationalSeries.zero(), t_over)
     assert zero.is_zero()
+
+
+def test_faulhaber_matches_power_sums():
+    for j in range(13):
+        poly = _faulhaber(j)
+        for n_max in range(-1, 21):
+            value = sum(c * n_max**i for i, c in enumerate(poly))
+            assert value == sum(n**j for n in range(n_max + 1))
