@@ -11,10 +11,11 @@ j(chi1, chi2) g(chi1 chi2) mirrors the basis multiplication law and
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import pi
 
 from .polyparse import IntPolynomial
@@ -22,15 +23,19 @@ from .polyparse import IntPolynomial
 TOLERANCE = 1e-9
 
 # Work cap of the p-adic integrals: the largest number p^(N*m) of residue
-# vectors in (Z/p^N)^m that one integral enumerates.  At about 10 us per point
-# (2-core x86 VM, CPython 3.11) the cap is about 12 s; the test suite and the
-# benchmark stay below 120000 points.
+# vectors in (Z/p^N)^m that one integral enumerates.  Counting a point costs
+# about 0.4-0.5 us when N >= 2 and about 2.6 us at N = 1, where every point is
+# its own class mod p and Phi is called once per point (2-core x86 VM,
+# CPython 3.11.7), so the cap is about 2.5 s of counting.  The character sums
+# of check_exp_decomposition are not covered by it: they grow as
+# phi(p^(i+1)) times the number of buckets.  The test suite goes up to
+# 531441 points and the benchmark stays below 20000.
 MAX_ENUMERATION_POINTS = 1_000_000
 
 # Work cap of the finite-field Gauss/Jacobi suite (``oracle gauss``): the
 # largest prime p it runs at.  It checks about p^2 character pairs with an
-# O(p) Jacobi sum each, so its time grows as p^3: about 11 s at p = 167
-# (2-core x86 VM, CPython 3.11).  The test suite and the benchmark use
+# O(p) Jacobi sum each, so its time grows as p^3: about 3.3 s at p = 167
+# (2-core x86 VM, CPython 3.11.7).  The test suite and the benchmark use
 # primes up to 19.
 MAX_GAUSS_PRIME = 167
 
@@ -183,6 +188,7 @@ class ResidueCharacter:
 def characters_mod(p: int, level: int) -> list[ResidueCharacter]:
     """All characters of (Z/p^level)^*, each reduced to its conductor."""
     phi_level = (p - 1) * p ** (level - 1)
+    root_dlogs: dict = {}  # conductor c < level -> dlog of its primitive root mod p^level
     g_entries = []
     for k in range(phi_level):
         if k == 0:
@@ -200,10 +206,10 @@ def characters_mod(p: int, level: int) -> list[ResidueCharacter]:
         if c == level:
             g_entries.append(ResidueCharacter(p, c, k_red))
         else:
-            g_level_c = _primitive_root(p, c)
-            dl = _dlog_table(p, level)[g_level_c % p**level]
+            if c not in root_dlogs:
+                root_dlogs[c] = _dlog_table(p, level)[_primitive_root(p, c) % p**level]
             # value of chi_k on the conductor-c generator determines the index
-            idx = k_red * dl % ((p - 1) * p ** (c - 1))
+            idx = k_red * root_dlogs[c] % ((p - 1) * p ** (c - 1))
             g_entries.append(ResidueCharacter(p, c, idx))
     return g_entries
 
@@ -235,47 +241,81 @@ def phi_indicator_zero(p: int, m: int):
 
 
 def _value_buckets(f: IntPolynomial, ctx: PadicContext, phi, m: int, mod: int) -> dict:
-    """Sum phi(x mod p) over x in (Z/p^N)^m, bucketed by f(x) mod ``mod``."""
+    """Sum phi(x mod p) over x in (Z/p^N)^m, bucketed by f(x) mod ``mod``.
+
+    phi returns an int or a Fraction.  The points are counted as integers by
+    (f(x) mod ``mod``, x mod p), one row over the last coordinate per prefix of
+    the others, and phi is called once per counted pair.  A value's bucket is
+    inserted where the value first appears with nonzero weight, in
+    lexicographic order of x; that order fixes the floating-point summation
+    order of the sums over the buckets.
+    """
     p, n_prec = ctx.p, ctx.precision
     check_enumeration(p, n_prec, m)
     pn = p**n_prec
-    monos = list(f._pad(m).items())
-    tables = []
-    for exps, coeff in monos:
-        per_var = []
-        for e in exps:
-            per_var.append([pow(x, e, mod) for x in range(pn)] if e else None)
-        tables.append((per_var, coeff % mod))
-    buckets: dict = {}
-    for x in product(range(pn), repeat=m):
-        val = 0
-        for per_var, coeff in tables:
-            term = coeff
-            for xj, tab in zip(x, per_var):
-                if tab is not None:
-                    term = term * tab[xj] % mod
-            val = (val + term) % mod
-        w = phi(tuple(xj % p for xj in x))
+    # per monomial: the power tables of the prefix coordinates it contains, the
+    # table of the last coordinate (None at exponent 0) and the coefficient
+    monos = []
+    for exps, coeff in f._pad(m).items():
+        tabs = [[pow(x, e, mod) for x in range(pn)] if e else None for e in exps]
+        head = [(j, tab) for j, tab in enumerate(tabs[:-1]) if tab is not None]
+        monos.append((head, tabs[-1], coeff % mod))
+    last_class = [x % p for x in range(pn)]
+    prefix_classes: dict = {}  # prefix mod p, as a base-p integer -> as a tuple
+    counts: Counter = Counter()
+    for prefix in product(range(pn), repeat=m - 1):
+        const, row = 0, None
+        for head, last, term in monos:
+            for j, tab in head:
+                term = term * tab[prefix[j]] % mod
+            if last is None:
+                const += term
+            elif row is None:
+                row = [term * t for t in last]
+            else:
+                row = [r + term * t for r, t in zip(row, last)]
+        row = [const % mod] * pn if row is None else [(const + r) % mod for r in row]
+        cls = 0
+        for xj in prefix:
+            cls = cls * p + xj % p
+        if cls not in prefix_classes:
+            prefix_classes[cls] = tuple(xj % p for xj in prefix)
+        counts.update(zip(row, repeat(cls), last_class))
+    # the weights are summed as integer counts per (value, weight) first, so
+    # that Fraction arithmetic runs once per distinct pair
+    weighted: dict = {}
+    for (val, cls, last), n in counts.items():
+        w = phi(prefix_classes[cls] + (last,))
         if w:
-            buckets[val] = buckets.get(val, Fraction(0)) + w
+            key = val, w.numerator, w.denominator
+            weighted[key] = weighted.get(key, 0) + n
+    buckets: dict = {}
+    for (val, num, den), n in weighted.items():
+        buckets[val] = buckets.get(val, Fraction(0)) + Fraction(n * num, den)
     return buckets
+
+
+def _float_weights(f: IntPolynomial, ctx: PadicContext, phi, mod: int) -> dict:
+    """The value buckets of f mod ``mod``, each weight times the measure p^(-N*m)
+    of a point, converted to a float once."""
+    m = max(f.nvars, 1)
+    norm = Fraction(1, ctx.p ** (ctx.precision * m))
+    return {val: float(w * norm) for val, w in _value_buckets(f, ctx, phi, m, mod).items()}
 
 
 def padic_exp_integral(f: IntPolynomial, ctx: PadicContext, phi, i: int) -> complex:
     """Integral of phi(x) Psi(f(x)/p^{i+1}) over Z_p^m, as an exact finite sum."""
     if ctx.precision < i + 1:
         raise ValueError("precision must be at least i + 1")
-    m = max(f.nvars, 1)
     mod = ctx.p ** (i + 1)
-    buckets = _value_buckets(f, ctx, phi, m, mod)
-    return _psi_sum(buckets, Fraction(1, ctx.p ** (ctx.precision * m)), mod)
+    return _psi_sum(_float_weights(f, ctx, phi, mod), mod)
 
 
-def _psi_sum(buckets: dict, norm: Fraction, mod: int) -> complex:
-    """Sum of w * norm * Psi(val / mod) over the value buckets."""
+def _psi_sum(weights: dict, mod: int) -> complex:
+    """Sum of weight * Psi(val / mod) over the value buckets."""
     total = 0j
-    for val, w in buckets.items():
-        total += float(w * norm) * additive_character(val, mod)
+    for val, fw in weights.items():
+        total += fw * additive_character(val, mod)
     return total
 
 
@@ -286,25 +326,31 @@ def padic_char_integral(
     c = alpha.conductor
     if ctx.precision < i + c:
         raise ValueError("precision must be at least i + conductor")
-    m = max(f.nvars, 1)
     p = ctx.p
-    mod = p ** (i + c)
-    buckets = _value_buckets(f, ctx, phi, m, mod)
-    return _char_sum(buckets, Fraction(1, p ** (ctx.precision * m)), alpha, p, i)
+    return _char_sum(_float_weights(f, ctx, phi, p ** (i + c)), alpha, p, i)
 
 
-def _char_sum(buckets: dict, norm: Fraction, alpha: ResidueCharacter, p: int, i: int) -> complex:
-    """Sum of w * norm * alpha(ac val) over the value buckets with ord_p val = i."""
-    c = alpha.conductor
-    total = 0j
+# The character sums below evaluate alpha(v) as ResidueCharacter.value does,
+# exp(2j * pi * index * dlog(v) / order) from left to right, with the constant
+# part of the expression hoisted out of the loop: the same floating-point
+# operations in the same order, so the same bits.
+
+
+def _char_sum(weights: dict, alpha: ResidueCharacter, p: int, i: int) -> complex:
+    """Sum of weight * alpha(ac val) over the value buckets with ord_p val = i."""
     pi_i = p**i
-    for val, w in buckets.items():
+    mod_c = p**alpha.conductor
+    dlog = _dlog_table(p, alpha.conductor)
+    arg = 2j * pi * alpha.index
+    order = alpha.group_order
+    total = 0j
+    for val, fw in weights.items():
         if val % pi_i:
             continue
         unit = val // pi_i
         if unit % p == 0:
             continue  # ord f > i
-        total += float(w * norm) * alpha.value(unit % p**c)
+        total += fw * cmath.exp(arg * dlog[unit % mod_c] / order)
     return total
 
 
@@ -312,11 +358,16 @@ def gauss_sum_numeric(ctx: PadicContext, alpha: ResidueCharacter) -> complex:
     """q^{1-c} sum over units v mod p^c of alpha(v) Psi(v / p^c)."""
     p, c = ctx.p, alpha.conductor
     mod = p**c
+    dlog = _dlog_table(p, c)
+    arg = 2j * pi * alpha.index
+    order = alpha.group_order
+    two_pi_i = 2j * pi
     total = 0j
     for v in range(1, mod):
         if v % p == 0:
             continue
-        total += alpha.value(v) * additive_character(v, mod)
+        # alpha(v) * additive_character(v, mod), as 0 < v < mod
+        total += cmath.exp(arg * dlog[v] / order) * cmath.exp(two_pi_i * v / mod)
     return p ** (1 - c) * total
 
 
@@ -324,9 +375,13 @@ def jacobi_sum_numeric(p: int, chi1: ResidueCharacter, chi2: ResidueCharacter) -
     """sum over x != 0, 1 mod p of chi1(x) chi2(1 - x); conductor-1 characters only."""
     if chi1.conductor != 1 or chi2.conductor != 1 or chi1.p != p or chi2.p != p:
         raise ValueError("jacobi sums are taken for conductor-1 characters mod p")
+    dlog = _dlog_table(p, 1)
+    arg1 = 2j * pi * chi1.index
+    arg2 = 2j * pi * chi2.index
+    order = p - 1
     total = 0j
     for x in range(2, p):
-        total += chi1.value(x) * chi2.value((1 - x) % p)
+        total += cmath.exp(arg1 * dlog[x] / order) * cmath.exp(arg2 * dlog[(1 - x) % p] / order)
     return total
 
 
@@ -356,18 +411,14 @@ def check_exp_decomposition(f: IntPolynomial, ctx: PadicContext, phi, i: int) ->
     if ctx.precision < i + 1:
         raise ValueError("precision must be at least i + 1")
     p = ctx.p
-    m = max(f.nvars, 1)
     mod = p ** (i + 1)
-    buckets = _value_buckets(f, ctx, phi, m, mod)
-    norm = Fraction(1, p ** (ctx.precision * m))
+    weights = _float_weights(f, ctx, phi, mod)
 
-    lhs = _psi_sum(buckets, norm, mod)
-    measure = float(
-        sum((w for val, w in buckets.items() if val % mod == 0), Fraction(0)) * norm
-    )
-    rhs = complex(measure)
+    lhs = _psi_sum(weights, mod)
+    # buckets hold f(x) mod p^{i+1}, so {ord f > i} is the bucket of 0
+    rhs = complex(weights.get(0, 0.0))
     for alpha in characters_mod(p, i + 1):
-        z = _char_sum(buckets, norm, alpha, p, i - alpha.conductor + 1)
+        z = _char_sum(weights, alpha, p, i - alpha.conductor + 1)
         if z != 0:
             rhs += gauss_sum_numeric(ctx, alpha.inverse()) * z / (p - 1)
     return DecompositionReport(lhs=lhs, rhs=rhs)

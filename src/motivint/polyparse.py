@@ -7,9 +7,16 @@ parentheses; exponents are nonnegative integers.
 from __future__ import annotations
 
 import re
+from math import log2
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 _TOKEN = re.compile(r"\s*(\d+|[xyz]|\*\*|[-+*^()])")
+
+# Work cap of a power: the largest exponent, degree and coefficient bit length
+# that ``base ** n`` may produce.  Powers multiply one factor at a time, so an
+# unbounded exponent such as x^99999999 would run for hours before any other
+# limit is read.
+MAX_POWER = 100
 
 
 class IntPolynomial:
@@ -67,8 +74,17 @@ class IntPolynomial:
         return IntPolynomial(out, width)
 
     def __pow__(self, n: int) -> "IntPolynomial":
+        """self^n, refused with PolyParseError before any multiplication when n,
+        the degree n*deg(self) or the coefficient bound n*log2(sum |c|) exceeds
+        MAX_POWER."""
         if n < 0:
             raise ValueError("negative exponent")
+        degree = max((sum(e) for e in self.monomials), default=0)
+        size = sum(abs(c) for c in self.monomials.values())
+        if n > MAX_POWER or n * degree > MAX_POWER or (size > 1 and n * log2(size) > MAX_POWER):
+            raise PolyParseError(
+                f"power exceeds the limit of {MAX_POWER} on exponent, degree and coefficient bits"
+            )
         out = IntPolynomial.constant(1)
         for _ in range(n):
             out = out * self
@@ -103,6 +119,13 @@ class IntPolynomial:
 
 class PolyParseError(ValueError):
     pass
+
+
+def _literal(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:  # longer than the interpreter's int-string limit
+        raise PolyParseError(f"integer literal of {len(tok)} digits is too long") from exc
 
 
 def parse_poly(text: str) -> IntPolynomial:
@@ -160,7 +183,7 @@ def parse_poly(text: str) -> IntPolynomial:
             exp = take()
             if not (isinstance(exp, str) and exp.isdigit()):
                 raise PolyParseError("exponent must be a nonnegative integer")
-            base = base ** int(exp)
+            base = base ** _literal(exp)
         return base
 
     def parse_base() -> IntPolynomial:
@@ -175,7 +198,7 @@ def parse_poly(text: str) -> IntPolynomial:
         if tok in _VARS:
             return IntPolynomial.variable(_VARS[tok])
         if tok.isdigit():
-            return IntPolynomial.constant(int(tok))
+            return IntPolynomial.constant(_literal(tok))
         if tok == "-":
             return -parse_base()
         raise PolyParseError(f"unexpected token {tok!r}")

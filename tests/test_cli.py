@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from motivint.cli import main
-from motivint.oracles import MAX_GAUSS_PRIME
+from motivint.oracles import MAX_ENUMERATION_POINTS, MAX_GAUSS_PRIME
 
 X2 = {"ambient_dim": 1, "f_exponents": [2], "g_exponents": [0], "w_indices": [1]}
 Y3 = {"ambient_dim": 1, "f_exponents": [3], "g_exponents": [0], "w_indices": [1]}
@@ -146,6 +146,29 @@ def test_oracle_padic_rejects_bad_poly(capsys):
     )
     assert code == 2
     assert "error" in payload
+
+
+@pytest.mark.parametrize("poly", ["x^99999999", "2^99999999", "(((2^64)^64)^64)^64"])
+def test_oracle_padic_rejects_huge_powers(capsys, poly):
+    # refused before the first multiplication; each once ran for hours
+    t0 = time.perf_counter()
+    code, payload = run_cli(
+        capsys, "oracle", "padic", "--poly", poly, "--prime", "3", "--level", "0"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "exceeds the limit" in payload["error"]
+
+
+def test_oracle_padic_largest_admitted_input_completes(capsys):
+    # 3^(6*2) = 531441 points; precision 7 would be 3^14 > MAX_ENUMERATION_POINTS
+    assert 3**12 <= MAX_ENUMERATION_POINTS < 3**14
+    code, payload = run_cli(
+        capsys, "oracle", "padic", "--poly", "x^2+y^3", "--prime", "3", "--level", "5"
+    )
+    assert code == 0
+    assert payload["precision"] == 6
+    assert payload["pass"] is True
 
 
 def test_oracle_gauss(capsys):
@@ -289,3 +312,29 @@ def test_sg_spectrum_golden_bytes(tmp_path, capsys, name, command, code):
         out = tmp_path / "out.json"
         assert main([command, "--geometry", geom, "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("padic_x2y3", ["padic", "--poly", "x^2+y^3", "--prime", "5", "--level", "1"]),
+        (
+            "padic_x2y3_indicator0",
+            ["padic", "--poly", "x^2+y^3", "--prime", "5", "--level", "2", "--phi", "indicator0"],
+        ),
+        (
+            "padic_precision",
+            ["padic", "--poly", "x^3+x*y-2*y^2", "--prime", "3", "--level", "2", "--precision", "4"],
+        ),
+        ("gauss_13", ["gauss", "--prime", "13"]),
+    ],
+)
+def test_oracle_golden_bytes(tmp_path, capsys, name, argv):
+    # outputs recorded from the per-point bucket loop and ResidueCharacter.value
+    # character sums; the counted buckets and hoisted sums keep every float
+    want = (GOLDEN / f"oracle_{name}.json").read_text(encoding="utf-8")
+    assert main(["oracle", *argv]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "out.json"
+    assert main(["oracle", *argv, "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want

@@ -1,4 +1,7 @@
 import math
+import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +10,11 @@ from motivint.oracles import (
     MAX_ENUMERATION_POINTS,
     PadicContext,
     ResidueCharacter,
+    _char_sum,
+    _dlog_table,
+    _primitive_root,
+    _value_buckets,
+    additive_character,
     characters_mod,
     check_enumeration,
     check_exp_decomposition,
@@ -17,7 +25,7 @@ from motivint.oracles import (
     phi_indicator_zero,
     phi_one,
 )
-from motivint.polyparse import parse_poly
+from motivint.polyparse import IntPolynomial, parse_poly
 
 TOL = 1e-9
 
@@ -150,3 +158,121 @@ def test_stability_in_precision():
         zb = padic_char_integral(f, PadicContext(p, i + 1), phi_one(p, m), triv, i)
         zbig = padic_char_integral(f, PadicContext(p, i + 2), phi_one(p, m), triv, i)
         assert abs(zb - zbig) < 1e-12, (poly_s, p, i)
+
+
+# ---------------------------------------------------------------------------
+# per-point references for the counted buckets and the hoisted character sums
+# ---------------------------------------------------------------------------
+#
+# The oracles count points as integers and evaluate characters with the
+# constant part of ResidueCharacter.value hoisted out of their loops.  The
+# references below visit one point, and call value() once, per term, in the
+# original order; the floats must agree bit for bit (== on complex), and the
+# buckets in their values and in the order of their keys, which fixes the
+# floating-point summation order downstream.
+
+
+def _ref_value_buckets(f, ctx, phi, m, mod):
+    p = ctx.p
+    buckets = {}
+    for x in product(range(p**ctx.precision), repeat=m):
+        w = phi(tuple(xj % p for xj in x))
+        if w:
+            val = f.eval_mod(x, mod)
+            buckets[val] = buckets.get(val, Fraction(0)) + w
+    return buckets
+
+
+def _ref_characters_mod(p, level):
+    out = []
+    for k in range((p - 1) * p ** (level - 1)):
+        if k == 0:
+            out.append(ResidueCharacter.trivial(p))
+            continue
+        v, kk = 0, k
+        while kk % p == 0:
+            v, kk = v + 1, kk // p
+        c = max(1, level - v)
+        k_red = k // p ** (level - c)
+        if c == level:
+            out.append(ResidueCharacter(p, c, k_red))
+        else:
+            dl = _dlog_table(p, level)[_primitive_root(p, c) % p**level]
+            out.append(ResidueCharacter(p, c, k_red * dl % ((p - 1) * p ** (c - 1))))
+    return out
+
+
+def _random_poly(rng, m):
+    monos = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(0, 3) for _ in range(m))
+        monos[exps] = rng.choice((1, 2, 3, -1, -2, 5, 7, 9, 25, -49))
+    return IntPolynomial(monos, m)
+
+
+PHIS = (
+    phi_one,
+    phi_indicator_zero,
+    lambda p, m: lambda xbar: Fraction(xbar[0] + 1, 2),
+    lambda p, m: lambda xbar: Fraction(xbar[-1] % 2, 3),  # zero on half the classes
+    lambda p, m: lambda xbar: (xbar[-1] + 1) % 3 - 1,  # int weights; buckets may cancel to 0
+)
+
+
+def test_value_buckets_match_per_point_reference():
+    rng = random.Random(9090)
+    cases = 0
+    for m in (1, 2, 3):
+        for p in (3, 5, 7):
+            for level in (0, 1, 2):
+                for precision in (level + 1, level + 2):
+                    if p ** (precision * m) > 3000:
+                        continue
+                    ctx = PadicContext(p, precision)
+                    mod = p ** (level + 1)
+                    for _ in range(2):
+                        f = _random_poly(rng, m)
+                        for make_phi in PHIS:
+                            phi = make_phi(p, m)
+                            got = _value_buckets(f, ctx, phi, m, mod)
+                            want = _ref_value_buckets(f, ctx, phi, m, mod)
+                            assert got == want, (str(f), p, level, precision)
+                            assert list(got) == list(want), (str(f), p, level, precision)
+                            cases += 1
+    assert cases > 300
+
+
+def test_character_sums_match_value_formulas_bit_for_bit():
+    for p, level in ((3, 1), (3, 3), (5, 2), (7, 2), (13, 1)):
+        ctx = PadicContext(p, level)
+        for alpha in characters_mod(p, level):
+            c = alpha.conductor
+            want = 0j
+            for v in range(1, p**c):
+                if v % p:
+                    want += alpha.value(v) * additive_character(v, p**c)
+            assert gauss_sum_numeric(ctx, alpha) == p ** (1 - c) * want
+    for p in (5, 7, 13):
+        chars = [ResidueCharacter(p, 1, k) for k in range(p - 1)]
+        for chi1 in chars:
+            for chi2 in chars:
+                want = 0j
+                for x in range(2, p):
+                    want += chi1.value(x) * chi2.value((1 - x) % p)
+                assert jacobi_sum_numeric(p, chi1, chi2) == want
+    rng = random.Random(77)
+    for p, level in ((3, 3), (5, 2), (7, 2)):
+        for i in range(level):
+            weights = {val: rng.random() for val in rng.sample(range(p**level), p**level // 2)}
+            for alpha in characters_mod(p, level - i):
+                want = 0j
+                for val, fw in weights.items():
+                    if val % p**i == 0 and (val // p**i) % p:
+                        want += fw * alpha.value(val // p**i % p**alpha.conductor)
+                assert _char_sum(weights, alpha, p, i) == want
+
+
+def test_characters_mod_matches_reference():
+    for p, levels in ((3, (1, 2, 3, 4)), (5, (1, 2, 3)), (7, (1, 2, 3)), (11, (1, 2))):
+        for level in levels:
+            assert characters_mod(p, level) == _ref_characters_mod(p, level)

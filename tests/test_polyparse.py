@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from motivint.polyparse import IntPolynomial, PolyParseError, parse_poly
+from motivint.polyparse import MAX_POWER, IntPolynomial, PolyParseError, parse_poly
 
 
 def test_parse_basic():
@@ -29,7 +31,8 @@ def test_parse_double_star_power():
 
 
 def test_parse_errors():
-    for bad in ["x^^", "x^-1", "(x", "x +", "w + 1", "x ^ y"]:
+    huge = "9" * 5000  # past the interpreter's int-string limit
+    for bad in ["x^^", "x^-1", "(x", "x +", "w + 1", "x ^ y", huge, "x^" + huge]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 
@@ -43,3 +46,28 @@ def test_constant_and_str():
     assert parse_poly("7").eval_mod((), 5) == 2
     assert str(IntPolynomial.constant(0)) == "0"
     assert "x" in str(parse_poly("x^2+1"))
+
+
+def test_power_cap():
+    # the exponent, the degree and the coefficient bound n*log2(sum |c|) are
+    # each capped, before the first multiplication
+    n = MAX_POWER
+    for ok in [f"x^{n}", f"2^{n}", f"(x+1)^{n}", f"(x^2)^{n // 2}", "(x+y+z)^63", f"0^{n}"]:
+        parse_poly(ok)
+    for bad in [
+        f"x^{n + 1}", f"1^{n + 1}", f"(x^2)^{n // 2 + 1}", f"3^{n}", f"(x+y+z)^{n}",
+        "x^99999999", "2^99999999", "(((2^64)^64)^64)^64",
+    ]:
+        with pytest.raises(PolyParseError, match="exceeds the limit"):
+            parse_poly(bad)
+
+
+def test_power_cap_admits_the_oracle_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from benchlib.inputs import PADIC_SHAPES
+
+    criterion_5 = ["x", "x^2", "x^3", "x*y", "x^2+y^3"]
+    shapes = [s for group in PADIC_SHAPES.values() for s in group]
+    for a in (1, 2, -1, -2):
+        for text in criterion_5 + [s.format(a=a, b=a, c=-a) for s in shapes]:
+            parse_poly(text)
