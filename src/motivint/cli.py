@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
+from functools import lru_cache
 
 from .arcs import (
     GeometryError,
@@ -35,6 +35,7 @@ from .motives import MotiveFrac
 from .oracles import (
     MAX_GAUSS_PRIME,
     PadicContext,
+    check_character_sums,
     check_enumeration,
     check_exp_decomposition,
     phi_indicator_zero,
@@ -42,7 +43,15 @@ from .oracles import (
 )
 from .polyparse import PolyParseError, parse_poly
 from .series import exp_t
-from .spectra import GeometryPointError, brieskorn_sg, sg, sp, sp_from_sg
+from .spectra import (
+    MAX_BRIESKORN_TERMS,
+    GeometryPointError,
+    brieskorn_sg,
+    brieskorn_terms,
+    sg,
+    sp,
+    sp_from_sg,
+)
 
 _BRIESKORN = re.compile(r"brieskorn\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)$")
 
@@ -86,9 +95,9 @@ def _parse_character(text: str) -> Character:
 
 def _pretty_frac(x: MotiveFrac) -> str:
     bits = []
-    for (p, q) in sorted(x.num.terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
+    for (p, q) in sorted(x.num.terms):
         c = x.num.terms[(p, q)]
-        if p == q and Fraction(p).denominator == 1:
+        if p == q and p.denominator == 1:
             mono = f"L^{p}" if p else ""
         else:
             mono = f"u^{p}*v^{q}"
@@ -163,9 +172,16 @@ def cmd_sg(args) -> int:
 def cmd_spectrum(args) -> int:
     m = _BRIESKORN.match(args.geometry.strip())
     if m:
-        exponents = [int(x) for x in m.group(1).split(",")]
+        try:
+            exponents = [int(x) for x in m.group(1).split(",")]
+        except ValueError as exc:  # longer than the interpreter's int-string limit
+            raise CliError(f"invalid brieskorn exponent: {exc}") from exc
         if any(a < 2 for a in exponents):
             raise CliError("brieskorn exponents must be >= 2")
+        if brieskorn_terms(exponents) > MAX_BRIESKORN_TERMS:
+            raise CliError(
+                f"the brieskorn spectrum exceeds the limit of {MAX_BRIESKORN_TERMS} work terms"
+            )
         spectrum = sp_from_sg(brieskorn_sg(exponents), len(exponents))
         echo: object = f"brieskorn({','.join(str(a) for a in exponents)})"
     else:
@@ -218,10 +234,11 @@ def cmd_oracle_padic(args) -> int:
     try:
         check_enumeration(args.prime, precision, m)
         ctx = PadicContext(args.prime, precision)
+        if precision < args.level + 1:
+            raise ValueError("--precision must be at least level + 1")
+        check_character_sums(ctx.p, args.level, ctx.p ** (precision * m))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if precision < args.level + 1:
-        raise CliError("--precision must be at least level + 1")
     phi = phi_one(ctx.p, m) if args.phi == "one" else phi_indicator_zero(ctx.p, m)
     report = check_exp_decomposition(f, ctx, phi, args.level)
     payload = {
@@ -266,7 +283,14 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Building it costs far more than a small request (every ``add_argument``
+    sets up a help formatter), and parsing leaves it unchanged.  It binds only
+    the ``cmd_*`` functions, which look up the library names at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="motivint",
         description="Exact motivic character integrals, exponential series and Hodge spectra "
@@ -339,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, GeometryError) as exc:

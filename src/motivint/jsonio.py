@@ -17,10 +17,6 @@ from .series import RationalSeries
 from .spectra import SpectrumPoly
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def character_to_json(alpha: Character) -> str:
     return str(alpha)
 
@@ -30,10 +26,10 @@ def character_from_json(text: str) -> Character:
 
 
 def motive_class_to_json(cls: MotiveClass) -> list:
-    out = []
-    for (p, q) in sorted(cls.terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
-        out.append([_frac_str(p), _frac_str(q), _frac_str(cls.terms[(p, q)])])
-    return out
+    # exponents and coefficients are ints or Fractions, whose str is the
+    # rational's text, and the (p, q) keys sort as rationals
+    terms = cls.terms
+    return [[str(p), str(q), str(terms[p, q])] for p, q in sorted(terms)]
 
 
 def motive_class_from_json(items: list) -> MotiveClass:
@@ -122,7 +118,7 @@ def geometry_from_json(obj: dict) -> MonomialGeometry:
 
 
 def spectrum_to_json(sp: SpectrumPoly) -> list:
-    return [[_frac_str(e), c] for e, c in sp.items()]
+    return [[str(e), c] for e, c in sp.items()]
 
 
 def spectrum_from_json(items: list) -> SpectrumPoly:

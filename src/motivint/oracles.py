@@ -26,11 +26,19 @@ TOLERANCE = 1e-9
 # vectors in (Z/p^N)^m that one integral enumerates.  Counting a point costs
 # about 0.4-0.5 us when N >= 2 and about 2.6 us at N = 1, where every point is
 # its own class mod p and Phi is called once per point (2-core x86 VM,
-# CPython 3.11.7), so the cap is about 2.5 s of counting.  The character sums
-# of check_exp_decomposition are not covered by it: they grow as
-# phi(p^(i+1)) times the number of buckets.  The test suite goes up to
-# 531441 points and the benchmark stays below 20000.
+# CPython 3.11.7), so the cap is about 2.5 s of counting.  The test suite goes
+# up to 531441 points and the benchmark stays below 20000.
 MAX_ENUMERATION_POINTS = 1_000_000
+
+# Work cap of the character sums of check_exp_decomposition at level i:
+# phi(p^(i+1)) characters, each summed over at most min(p^(i+1), points)
+# value buckets and paired with a Gauss sum of up to p^(i+1) terms.  A term
+# costs about 0.7-1.3 us (same machine; at level 0, x at p = 3001 took 9.2 s,
+# x at p = 3137 12.6 s and x at p = 2819, the largest admitted prime, 8.8 s;
+# x^2 at p = 53, level 1, 7.7e6 terms, 5.4 s), so the cap is about 10 s.  The
+# test suite goes up to 354294 terms (p = 3, level 5) and the benchmark to
+# 100842 (p = 7, level 2).
+MAX_CHARACTER_TERMS = 8_000_000
 
 # Work cap of the finite-field Gauss/Jacobi suite (``oracle gauss``): the
 # largest prime p it runs at.  It checks about p^2 character pairs with an
@@ -50,6 +58,22 @@ def check_enumeration(p: int, precision: int, m: int) -> None:
         raise ValueError(
             f"enumerating {p}^({precision}*{m}) residue vectors exceeds the limit of "
             f"{MAX_ENUMERATION_POINTS} points"
+        )
+
+
+def check_character_sums(p: int, level: int, points: int) -> None:
+    """Raise ValueError when phi(p^(level+1)) * min(p^(level+1), points)
+    exceeds MAX_CHARACTER_TERMS.
+
+    Constant time: the exponent is bounded before any power is taken.
+    """
+    k = level + 1
+    if k > MAX_CHARACTER_TERMS.bit_length() or (
+        (p - 1) * p ** (k - 1) * min(p**k, points) > MAX_CHARACTER_TERMS
+    ):
+        raise ValueError(
+            f"summing the characters mod {p}^{k} over the value buckets exceeds the "
+            f"limit of {MAX_CHARACTER_TERMS} terms"
         )
 
 

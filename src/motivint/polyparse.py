@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from math import log2
+from operator import add
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 _TOKEN = re.compile(r"\s*(\d+|[xyz]|\*\*|[-+*^()])")
@@ -15,8 +16,14 @@ _TOKEN = re.compile(r"\s*(\d+|[xyz]|\*\*|[-+*^()])")
 # Work cap of a power: the largest exponent, degree and coefficient bit length
 # that ``base ** n`` may produce.  Powers multiply one factor at a time, so an
 # unbounded exponent such as x^99999999 would run for hours before any other
-# limit is read.
+# limit is read.  A product is held to the same degree.
 MAX_POWER = 100
+
+# Work cap of a product: the largest number of monomial pairs that one
+# multiplication forms.  A pair costs about 0.7 us: the 8.6e6 pairs of
+# (x+y+z+1)^24 * (x+y+z+1)^24 took 5.6 s, and parsing that expression 7.6 s
+# (2-core x86 VM, CPython 3.11.7), so the cap is about 10 s.
+MAX_PRODUCT_PAIRS = 10_000_000
 
 
 class IntPolynomial:
@@ -64,12 +71,27 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
+    def degree(self) -> int:
+        return max((sum(e) for e in self.monomials), default=0)
+
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        """self * other, refused with PolyParseError before any multiplication
+        when its degree exceeds MAX_POWER or it forms more than
+        MAX_PRODUCT_PAIRS monomial pairs."""
+        if (
+            self.degree() + other.degree() > MAX_POWER
+            or len(self.monomials) * len(other.monomials) > MAX_PRODUCT_PAIRS
+        ):
+            raise PolyParseError(
+                f"product exceeds the limit of {MAX_POWER} on degree and "
+                f"{MAX_PRODUCT_PAIRS} on monomial pairs"
+            )
         width = max(self.nvars, other.nvars)
+        right = list(other._pad(width).items())
         out: dict = {}
         for e1, c1 in self._pad(width).items():
-            for e2, c2 in other._pad(width).items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return IntPolynomial(out, width)
 
@@ -79,7 +101,7 @@ class IntPolynomial:
         MAX_POWER."""
         if n < 0:
             raise ValueError("negative exponent")
-        degree = max((sum(e) for e in self.monomials), default=0)
+        degree = self.degree()
         size = sum(abs(c) for c in self.monomials.values())
         if n > MAX_POWER or n * degree > MAX_POWER or (size > 1 and n * log2(size) > MAX_POWER):
             raise PolyParseError(

@@ -166,6 +166,34 @@ def sp(geom: MonomialGeometry) -> SpectrumPoly:
     return sp_from_sg(sg(geom), geom.m)
 
 
+# Work cap of ``spectrum --geometry brieskorn(...)``, in the units of
+# brieskorn_terms.  A unit costs about 50-90 us (2-core x86 VM, CPython
+# 3.11.7): at the cap, brieskorn(100000) took 6.6-7.9 s, brieskorn(2,49999)
+# 9.0 s and brieskorn(316,316) 4.6-5.2 s, so the cap is about 10 s.  The
+# benchmark's Brieskorn inputs (exponents 2-6, up to three variables) stay
+# below 240.
+MAX_BRIESKORN_TERMS = 100_000
+
+
+def brieskorn_terms(exponents) -> int:
+    """Work estimate of brieskorn_sg(exponents) and its spectrum.
+
+    The SG of x^a counts a.  The j-th product pairs each Gauss term so far,
+    at most min(prod(a_i - 1), lcm(a_i) - 1) of them, with the a_j - 1 terms
+    of the new factor; a coefficient after j factors has an unreduced
+    numerator of order j^2 terms, so each pair counts (j/2)^2.  The sum stops
+    once it passes MAX_BRIESKORN_TERMS, so it takes a few dozen steps at most.
+    """
+    total, count, order = 0, 0, 1
+    for j, a in enumerate(exponents, 1):
+        order = lcm(order, a)
+        total += a + count * (a - 1) * (j * j // 4)
+        count = min(count * (a - 1), order - 1) if count else a - 1
+        if total > MAX_BRIESKORN_TERMS:
+            break
+    return total
+
+
 def brieskorn_sg(exponents) -> UElement:
     """SG of sum_i x_i^{a_i} as the Gauss-ring product of the one-variable SGs."""
     total = UElement.one()

@@ -4,8 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from motivint.cli import main
-from motivint.oracles import MAX_ENUMERATION_POINTS, MAX_GAUSS_PRIME
+from motivint.cli import build_parser, main
+from motivint.oracles import (
+    MAX_CHARACTER_TERMS,
+    MAX_ENUMERATION_POINTS,
+    MAX_GAUSS_PRIME,
+    check_character_sums,
+)
+from motivint.spectra import MAX_BRIESKORN_TERMS, brieskorn_terms
 
 X2 = {"ambient_dim": 1, "f_exponents": [2], "g_exponents": [0], "w_indices": [1]}
 Y3 = {"ambient_dim": 1, "f_exponents": [3], "g_exponents": [0], "w_indices": [1]}
@@ -71,6 +77,51 @@ def test_spectrum_rejects_non_point(tmp_path, capsys):
     code, payload = run_cli(capsys, "spectrum", "--geometry", geom)
     assert code == 2
     assert "error" in payload
+
+
+def _brieskorn(*exponents) -> str:
+    return f"brieskorn({','.join(map(str, exponents))})"
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        _brieskorn(2, 99999),
+        _brieskorn(500, 500),
+        _brieskorn(*[3] * 100),
+        _brieskorn("9" * 5000),  # past the interpreter's int-string limit
+    ],
+    ids=["2,99999", "500,500", "3x100", "5000-digit"],
+)
+def test_spectrum_rejects_oversized_brieskorn(capsys, geometry):
+    # refused before any SG is built; each of the first three once ran for
+    # 6 s or more, and the last ended in a traceback
+    t0 = time.perf_counter()
+    code, payload = run_cli(capsys, "spectrum", "--geometry", geometry)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "error" in payload
+
+
+def test_brieskorn_limit_boundary():
+    # the largest admitted input of each shape: one large exponent, a large
+    # exponent against x^2, two equal exponents, many variables
+    for admitted, refused in [
+        ((MAX_BRIESKORN_TERMS,), (MAX_BRIESKORN_TERMS + 1,)),
+        ((2, 49999), (2, 50000)),
+        ((316, 316), (317, 317)),
+        ((2,) * 105, (2,) * 106),
+        ((6,) * 35, (6,) * 36),
+    ]:
+        assert brieskorn_terms(admitted) <= MAX_BRIESKORN_TERMS < brieskorn_terms(refused)
+    # every Brieskorn input of the benchmark: exponents 2-6, up to 3 variables
+    assert brieskorn_terms((6, 6, 6)) < 1000
+
+
+def test_spectrum_largest_admitted_many_variable_brieskorn_completes(capsys):
+    code, payload = run_cli(capsys, "spectrum", "--geometry", _brieskorn(*[2] * 105))
+    assert code == 0
+    assert payload["spectrum"] == [["105/2", 1]]
 
 
 def test_thom_sebastiani_check(tmp_path, capsys):
@@ -169,6 +220,45 @@ def test_oracle_padic_largest_admitted_input_completes(capsys):
     assert code == 0
     assert payload["precision"] == 6
     assert payload["pass"] is True
+
+
+def test_oracle_padic_rejects_oversized_character_sums(capsys):
+    # 997^2 points pass the enumeration cap, but 993012 characters over up to
+    # 994009 buckets do not; this once ran past 20 s
+    t0 = time.perf_counter()
+    code, payload = run_cli(
+        capsys, "oracle", "padic", "--poly", "x", "--prime", "997", "--level", "1"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "exceeds the limit" in payload["error"]
+
+
+def test_character_sum_limit_boundary():
+    # level 0 at the largest admitted prime, 2818 * 2819 terms; the next prime
+    # is refused, and so is level 1 at p = 997
+    check_character_sums(2819, 0, 2819)
+    assert 2818 * 2819 <= MAX_CHARACTER_TERMS < 2832 * 2833
+    for p, level, points in ((2833, 0, 2833), (997, 1, 997**2), (3, 10**12, 3)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            check_character_sums(p, level, points)
+    # the largest admitted enumeration of the tests (3^6 residues, level 5)
+    # and the largest benchmark slot (p = 7, level 2)
+    check_character_sums(3, 5, 3**12)
+    check_character_sums(7, 2, 7**3)
+
+
+def test_oracle_padic_rejects_oversized_product(capsys):
+    # every power is within MAX_POWER, but the product's degree is not; the
+    # fourfold product once ran past 10 s
+    t0 = time.perf_counter()
+    code, payload = run_cli(
+        capsys, "oracle", "padic", "--poly", "*".join(["(x+y+z)^60"] * 4),
+        "--prime", "3", "--level", "0",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "exceeds the limit" in payload["error"]
 
 
 def test_oracle_gauss(capsys):
@@ -312,6 +402,79 @@ def test_sg_spectrum_golden_bytes(tmp_path, capsys, name, command, code):
         out = tmp_path / "out.json"
         assert main([command, "--geometry", geom, "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("zeta_uv", ["zeta", "--character", "1/2", "--window", "0", "6"]),
+        ("zeta_lpow", ["zeta", "--character", "1/2", "--window", "0", "6", "--display", "lpow"]),
+        ("exp-series", ["exp-series"]),
+        ("measure", ["measure"]),
+        ("measure_gt5", ["measure", "--gt", "5"]),
+    ],
+)
+def test_series_golden_bytes(tmp_path, capsys, name, argv):
+    # outputs recorded from the Fraction-keyed motive_class_to_json and
+    # _pretty_frac, on the twisted origin geometry
+    geom = str(GOLDEN / "twisted.geometry.json")
+    want = (GOLDEN / f"twisted.{name}.json").read_text(encoding="utf-8")
+    assert main([argv[0], "--geometry", geom, *argv[1:]]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "out.json"
+    assert main([argv[0], "--geometry", geom, *argv[1:], "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want
+
+
+# (first, second): the second call leaves out an option that the first sets
+LEAK_PAIRS = [
+    (
+        ["zeta", "--geometry", "{x2}", "--character", "1/2", "--window", "0", "6",
+         "--display", "lpow"],
+        ["zeta", "--geometry", "{x2}", "--character", "1/2"],
+    ),
+    (
+        ["zeta", "--geometry", "{x2}", "--character", "1/2", "--window", "0", "6",
+         "--display", "lpow"],
+        ["zeta", "--geometry", "{x2}", "--character", "1/2", "--window", "0", "6"],
+    ),
+    (["measure", "--geometry", "{x2}", "--gt", "3"], ["measure", "--geometry", "{x2}"]),
+    (
+        ["thom-sebastiani", "--left", "{x2}", "--right", "{y3}", "--imax", "3", "--check"],
+        ["thom-sebastiani", "--left", "{x2}", "--right", "{y3}", "--imax", "3"],
+    ),
+    (["sg", "--geometry", "{x2}", "--output", "{out}"], ["sg", "--geometry", "{x2}"]),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second", LEAK_PAIRS, ids=["window", "display", "gt", "check", "output"]
+)
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch, first, second):
+    # the direct Thom-Sebastiani path is corrupted, so a --check that leaked
+    # into the second call would turn its exit code to 1
+    import motivint.arcs as arcs_mod
+    from motivint.gaussring import UElement
+
+    monkeypatch.setattr(arcs_mod, "ts_direct_exp_coefficient", lambda l, r, i: UElement(7))
+    paths = {
+        "x2": write_geom(tmp_path, "x2.json", X2),
+        "y3": write_geom(tmp_path, "y3.json", Y3),
+        "out": str(tmp_path / "out.json"),
+    }
+    first = [a.format(**paths) for a in first]
+    second = [a.format(**paths) for a in second]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    build_parser.cache_clear()
+    alone = run(second)  # the first call of a fresh parser
+    assert alone[1]
+    run(first)
+    assert run(second) == alone
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize(

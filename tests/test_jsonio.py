@@ -94,3 +94,73 @@ def test_serialization_deterministic():
     a = json.dumps(series_to_json(s), sort_keys=True)
     b = json.dumps(series_to_json(zeta_series(geom, Character(Fraction(1, 2)))), sort_keys=True)
     assert a == b
+
+
+def _ref_motive_class_to_json(cls) -> list:
+    # the encoder as it was before it stopped building a Fraction per term
+    def frac_str(x):
+        return str(Fraction(x))
+
+    out = []
+    for (p, q) in sorted(cls.terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
+        out.append([frac_str(p), frac_str(q), frac_str(cls.terms[(p, q)])])
+    return out
+
+
+def _ref_pretty_frac(x) -> str:
+    # cli._pretty_frac as it was, with Fraction sort keys
+    bits = []
+    for (p, q) in sorted(x.num.terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
+        c = x.num.terms[(p, q)]
+        if p == q and Fraction(p).denominator == 1:
+            mono = f"L^{p}" if p else ""
+        else:
+            mono = f"u^{p}*v^{q}"
+        bits.append(f"{c}*{mono}" if mono else f"{c}")
+    num = " + ".join(bits) if bits else "0"
+    if not x.den:
+        return num
+    den = " * ".join(f"(L^{a} - L^{b})" for a, b in x.den)
+    return f"({num}) / ({den})"
+
+
+def _fracs_of(series):
+    for c in [*series.poly.values(), *(c for npoly in series.terms.values() for c in npoly)]:
+        if isinstance(c, UElement):
+            yield c.scalar
+            yield from c.gauss.values()
+        else:
+            yield c
+
+
+def test_motive_class_to_json_matches_fraction_keyed_encoder():
+    from motivint.cli import _pretty_frac
+    from motivint.motives import MotiveClass, MotiveFrac
+    from motivint.series import exp_t
+    from motivint.spectra import sg
+    from test_caches import GEOMETRIES
+
+    F = Fraction
+    fracs = [
+        # mixed int and Fraction exponents, negative fractional exponents, and
+        # Fraction(n, 1) coefficients stored as they are
+        MotiveFrac(MotiveClass({
+            (F(-1, 2), F(1, 2)): F(3, 1), (0, 0): F(-2, 1), (F(1, 3), F(-4, 3)): F(5, 7),
+            (-1, 2): 4, (F(-7, 2), F(5, 2)): -1, (F(-1, 2), F(-1, 2)): F(1, 2),
+        }, _validated=True), [(1, 0), (-2, -1)]),
+        MotiveFrac(MotiveClass({(F(-3), F(-3)): F(6, 1), (F(2), F(2)): F(-4, 2)},
+                               _validated=True)),
+    ]
+    fracs += [random_motive_frac(random.Random(seed)) for seed in range(20)]
+    for geom in GEOMETRIES:
+        fracs += _fracs_of(exp_series(geom))
+        u = sg(geom)
+        fracs += [u.scalar, *u.gauss.values()]
+        for alpha in geom.characters():
+            zeta = zeta_series(geom, alpha)
+            fracs += _fracs_of(zeta)
+            fracs += exp_t(zeta, -2, 8)
+    assert any(type(p) is Fraction for x in fracs for p, q in x.num.terms)
+    for x in fracs:
+        assert motive_class_to_json(x.num) == _ref_motive_class_to_json(x.num)
+        assert _pretty_frac(x) == _ref_pretty_frac(x)

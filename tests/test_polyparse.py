@@ -2,7 +2,14 @@ from pathlib import Path
 
 import pytest
 
-from motivint.polyparse import MAX_POWER, IntPolynomial, PolyParseError, parse_poly
+from motivint import polyparse
+from motivint.polyparse import (
+    MAX_POWER,
+    MAX_PRODUCT_PAIRS,
+    IntPolynomial,
+    PolyParseError,
+    parse_poly,
+)
 
 
 def test_parse_basic():
@@ -62,12 +69,34 @@ def test_power_cap():
             parse_poly(bad)
 
 
+def test_product_cap(monkeypatch):
+    # a product's degree and its monomial pairs are capped before it is formed
+    n = MAX_POWER // 2
+    assert parse_poly(f"x^{n}*y^{n}").monomials == {(n, n): 1}
+    with pytest.raises(PolyParseError, match="exceeds the limit"):
+        parse_poly(f"x^{n}*y^{n + 1}")
+    with pytest.raises(PolyParseError, match="exceeds the limit"):
+        parse_poly("*".join(["(x+y+z)^60"] * 4))
+    # (x+y+z+1)^24 squared is the largest admitted square of that family
+    a, b = parse_poly("(x+y+z+1)^24"), parse_poly("(x+y+z+1)^25")
+    assert len(a.monomials) ** 2 <= MAX_PRODUCT_PAIRS < len(b.monomials) ** 2
+    with pytest.raises(PolyParseError, match="exceeds the limit"):
+        b * b
+    monkeypatch.setattr(polyparse, "MAX_PRODUCT_PAIRS", 100)
+    assert len(parse_poly("(x+y)^9*(x+y)^9").monomials) == 19  # 10 * 10 pairs
+    with pytest.raises(PolyParseError, match="exceeds the limit"):
+        parse_poly("(x+y)^10*(x+y)^9")
+
+
 def test_power_cap_admits_the_oracle_inputs(monkeypatch):
+    # every polynomial of criterion 5, the benchmark's p-adic shapes and the
+    # oracle tests passes both the power and the product caps
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from benchlib.inputs import PADIC_SHAPES
 
     criterion_5 = ["x", "x^2", "x^3", "x*y", "x^2+y^3"]
+    oracle_tests = ["x^3+x*y-2*y^2", "x^3+y^2"]
     shapes = [s for group in PADIC_SHAPES.values() for s in group]
     for a in (1, 2, -1, -2):
-        for text in criterion_5 + [s.format(a=a, b=a, c=-a) for s in shapes]:
+        for text in criterion_5 + oracle_tests + [s.format(a=a, b=a, c=-a) for s in shapes]:
             parse_poly(text)
