@@ -236,7 +236,7 @@ def cmd_oracle_padic(args) -> int:
         ctx = PadicContext(args.prime, precision)
         if precision < args.level + 1:
             raise ValueError("--precision must be at least level + 1")
-        check_character_sums(ctx.p, args.level, ctx.p ** (precision * m))
+        check_character_sums(ctx.p, args.level)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     phi = phi_one(ctx.p, m) if args.phi == "one" else phi_indicator_zero(ctx.p, m)

@@ -31,8 +31,8 @@ TOLERANCE = 1e-9
 MAX_ENUMERATION_POINTS = 1_000_000
 
 # Work cap of the character sums of check_exp_decomposition at level i:
-# phi(p^(i+1)) characters, each summed over at most min(p^(i+1), points)
-# value buckets and paired with a Gauss sum of up to p^(i+1) terms.  A term
+# phi(p^(i+1)) characters, each summed over at most p^(i+1) value buckets
+# and paired with a Gauss sum of up to p^(i+1) terms.  A term
 # costs about 0.7-1.3 us (same machine; at level 0, x at p = 3001 took 9.2 s,
 # x at p = 3137 12.6 s and x at p = 2819, the largest admitted prime, 8.8 s;
 # x^2 at p = 53, level 1, 7.7e6 terms, 5.4 s), so the cap is about 10 s.  The
@@ -61,16 +61,17 @@ def check_enumeration(p: int, precision: int, m: int) -> None:
         )
 
 
-def check_character_sums(p: int, level: int, points: int) -> None:
-    """Raise ValueError when phi(p^(level+1)) * min(p^(level+1), points)
-    exceeds MAX_CHARACTER_TERMS.
+def check_character_sums(p: int, level: int) -> None:
+    """Raise ValueError when phi(p^(level+1)) * p^(level+1) exceeds
+    MAX_CHARACTER_TERMS.
 
-    Constant time: the exponent is bounded before any power is taken.
+    The value buckets hold f(x) mod p^(level+1), so there are at most
+    p^(level+1) of them; with precision >= level + 1 there are at least as
+    many points.  Constant time: the exponent is bounded before any power is
+    taken.
     """
     k = level + 1
-    if k > MAX_CHARACTER_TERMS.bit_length() or (
-        (p - 1) * p ** (k - 1) * min(p**k, points) > MAX_CHARACTER_TERMS
-    ):
+    if k > MAX_CHARACTER_TERMS.bit_length() or (p - 1) * p ** (2 * k - 1) > MAX_CHARACTER_TERMS:
         raise ValueError(
             f"summing the characters mod {p}^{k} over the value buckets exceeds the "
             f"limit of {MAX_CHARACTER_TERMS} terms"

@@ -72,7 +72,7 @@ class IntPolynomial:
         return self + (-other)
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.monomials), default=0)
+        return max(map(sum, self.monomials), default=0)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         """self * other, refused with PolyParseError before any multiplication

@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -115,7 +116,9 @@ def test_brieskorn_limit_boundary():
     ]:
         assert brieskorn_terms(admitted) <= MAX_BRIESKORN_TERMS < brieskorn_terms(refused)
     # every Brieskorn input of the benchmark: exponents 2-6, up to 3 variables
-    assert brieskorn_terms((6, 6, 6)) < 1000
+    for n in (1, 2, 3):
+        for exponents in combinations_with_replacement(range(2, 7), n):
+            assert brieskorn_terms(exponents) < 1000
 
 
 def test_spectrum_largest_admitted_many_variable_brieskorn_completes(capsys):
@@ -237,15 +240,15 @@ def test_oracle_padic_rejects_oversized_character_sums(capsys):
 def test_character_sum_limit_boundary():
     # level 0 at the largest admitted prime, 2818 * 2819 terms; the next prime
     # is refused, and so is level 1 at p = 997
-    check_character_sums(2819, 0, 2819)
+    check_character_sums(2819, 0)
     assert 2818 * 2819 <= MAX_CHARACTER_TERMS < 2832 * 2833
-    for p, level, points in ((2833, 0, 2833), (997, 1, 997**2), (3, 10**12, 3)):
+    for p, level in ((2833, 0), (997, 1), (3, 10**12)):
         with pytest.raises(ValueError, match="exceeds the limit"):
-            check_character_sums(p, level, points)
-    # the largest admitted enumeration of the tests (3^6 residues, level 5)
-    # and the largest benchmark slot (p = 7, level 2)
-    check_character_sums(3, 5, 3**12)
-    check_character_sums(7, 2, 7**3)
+            check_character_sums(p, level)
+    # the largest admitted input of the tests (p = 3, level 5) and the largest
+    # benchmark slot (p = 7, level 2)
+    check_character_sums(3, 5)
+    check_character_sums(7, 2)
 
 
 def test_oracle_padic_rejects_oversized_product(capsys):
