@@ -101,13 +101,11 @@ def _passes(geom: MonomialGeometry, alpha: Character) -> bool:
 
 
 # Memo bounds.  Entries keyed by a geometry alone (its free factor, zeta
-# fraction and closed form, its measure levels) are read again within one
-# request or one run of levels i = 1, 2, ..., so a few dozen geometries are
-# enough.  Entries keyed by a pair of geometries or a contact order are read
-# again by the higher levels of the same Thom-Sebastiani pair: checking 328
-# pairs at i <= 30 makes 82410 _diag_level entries (11% read again), 9840
-# _diag_tail_seed, 2747 _diag_fermat_sum and 690 _lattice_sum entries, and
-# 1 << 15 holds those of the pairs checked last.
+# fraction and measure levels) are read again within one request or one run
+# of levels i = 1, 2, ..., so a few dozen geometries are enough.  Entries
+# keyed by a pair of geometries or a contact order are read again by the
+# higher levels of the same Thom-Sebastiani pair, and 1 << 15 holds those of
+# the pairs checked last.
 _PER_GEOMETRY = 64
 _PER_COEFFICIENT = 1 << 15
 
@@ -184,18 +182,15 @@ def _zeta_fraction(geom: MonomialGeometry) -> tuple[tuple, tuple]:
     return tuple(sorted(num.items())), den
 
 
-@lru_cache(maxsize=_PER_GEOMETRY)
-def _zeta_common(geom: MonomialGeometry) -> RationalSeries:
-    """Closed form of the character zeta series (common to all surviving characters)."""
-    num, den = _zeta_fraction(geom)
-    return rs_normalize(dict(num), list(den))
-
-
 def zeta_series(geom: MonomialGeometry, alpha: Character) -> RationalSeries:
-    """Generating series over i > 0 of char_integral(geom, alpha, i)."""
+    """Generating series over i > 0 of char_integral(geom, alpha, i).
+
+    The closed form is common to all characters that pass the leading monomial.
+    """
     if not _passes(geom, alpha):
         return RationalSeries.zero()
-    return _zeta_common(geom)
+    num, den = _zeta_fraction(geom)
+    return rs_normalize(dict(num), list(den))
 
 
 def measure_total(geom: MonomialGeometry) -> MotiveFrac:
@@ -243,8 +238,12 @@ def measure_series(geom: MonomialGeometry) -> RationalSeries:
     so the whole series is (M0 T - Z(T))/(1 - T) with M0 the full measure;
     the division by 1 - T is a termwise prefix sum.
     """
-    head = RationalSeries(poly={1: measure_total(geom)})
-    return prefix_sums(head - _zeta_common(geom))
+    return _measure_from_zeta(geom, zeta_series(geom, Character.trivial()))
+
+
+def _measure_from_zeta(geom: MonomialGeometry, zeta: RationalSeries) -> RationalSeries:
+    """(M0 T - Z(T))/(1 - T), given Z = zeta_series(geom, trivial)."""
+    return prefix_sums(RationalSeries(poly={1: measure_total(geom)}) - zeta)
 
 
 def exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
@@ -262,8 +261,9 @@ def exp_series(geom: MonomialGeometry) -> RationalSeries:
     """Closed form over the Gauss-sum ring of the exponential coefficients, i > 0."""
     twist = UElement(-1, {alpha.inverse(): 1 for alpha in geom.characters() if not alpha.is_trivial()})
     twist = twist.div_lpow_diff(1, 0)
-    z_u = zeta_series(geom, Character.trivial()).map_coefficients(lambda c: twist * c)
-    p_u = measure_series(geom).map_coefficients(UElement)
+    zeta = zeta_series(geom, Character.trivial())
+    z_u = zeta.map_coefficients(lambda c: twist * c)
+    p_u = _measure_from_zeta(geom, zeta).map_coefficients(UElement)
     return p_u + z_u
 
 
@@ -283,7 +283,6 @@ def _diag_fermat_sum(left: MonomialGeometry, right: MonomialGeometry, alpha: Cha
     return total
 
 
-@lru_cache(maxsize=_PER_COEFFICIENT)
 def _diag_level(left: MonomialGeometry, right: MonomialGeometry, alpha: Character, k: int) -> MotiveFrac:
     """Integral over the equal-order stratum ord f = ord f' = k of {ord (f+f') = k}."""
     fsum = _diag_fermat_sum(left, right, alpha)

@@ -60,6 +60,16 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end like every other invalid input.
+
+    Subparsers are built with the parent's class, so they raise too.
+    """
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _load_json(path: str):
     try:
         if path == "-":
@@ -291,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sets up a help formatter), and parsing leaves it unchanged.  It binds only
     the ``cmd_*`` functions, which look up the library names at call time.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="motivint",
         description="Exact motivic character integrals, exponential series and Hodge spectra "
         "for monomial normal-crossings data.",
@@ -363,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, GeometryError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")

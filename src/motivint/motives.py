@@ -32,13 +32,7 @@ class MotiveClass:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, _validated=False):
-        if terms is None:
-            self.terms = {}
-            return
-        if _validated:
-            self.terms = terms
-            return
+    def __init__(self, terms):
         clean = {}
         for (p, q), c in terms.items():
             c = _ex(c)
@@ -54,21 +48,21 @@ class MotiveClass:
 
     @staticmethod
     def zero() -> "MotiveClass":
-        return MotiveClass({}, _validated=True)
+        return _class({})
 
     @staticmethod
     def one() -> "MotiveClass":
-        return MotiveClass({(0, 0): 1}, _validated=True)
+        return _class({(0, 0): 1})
 
     @staticmethod
     def from_scalar(c) -> "MotiveClass":
         c = _ex(c)
-        return MotiveClass({(0, 0): c} if c != 0 else {}, _validated=True)
+        return _class({(0, 0): c} if c != 0 else {})
 
     @staticmethod
     def lpow(k: int = 1) -> "MotiveClass":
         """L^k = (uv)^k."""
-        return MotiveClass({(k, k): 1}, _validated=True)
+        return _class({(k, k): 1})
 
     @staticmethod
     def h(p, q, c=1) -> "MotiveClass":
@@ -171,10 +165,7 @@ class MotiveClass:
         if type(k) is int:
             # stored exponents are already normalized, and adding an int keeps them so
             return _class({(p + k, q + k): c for (p, q), c in self.terms.items()})
-        return MotiveClass(
-            {(_ex(p + k), _ex(q + k)): c for (p, q), c in self.terms.items()},
-            _validated=True,
-        )
+        return _class({(_ex(p + k), _ex(q + k)): c for (p, q), c in self.terms.items()})
 
     def weights(self) -> set:
         """Set of total weights p + q appearing."""
@@ -253,7 +244,7 @@ def divide_by_l_diff(cls: MotiveClass, a: int, b: int) -> MotiveClass:
             p = _ex(p + c)
         if q_run != 0:
             raise ValueError("inexact division by L^a - L^b")
-    res_cls = MotiveClass(out, _validated=True)
+    res_cls = _class(out)
     return res_cls if sign == 1 else -res_cls
 
 

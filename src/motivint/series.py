@@ -483,10 +483,6 @@ def lambda_of_fraction(num: dict, den: list[tuple[int, int]]):
 
 def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d: int) -> None:
     """Partial fractions of num_s(S) / prod (1 - L^A S) at step d, offset r."""
-    if not exps:
-        for s, c in num_s.items():
-            out._poly_add_at(s * d + r, c)
-        return
     for a, base, mult in _partial_fractions(tuple(sorted(exps))):
         for s, c in num_s.items():
             c = c if mult is None else c * mult

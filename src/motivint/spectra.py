@@ -50,10 +50,6 @@ class SpectrumPoly:
                     clean[e] = clean.get(e, 0) + c
         self.coeffs = {e: c for e, c in clean.items() if c}
 
-    @staticmethod
-    def one() -> "SpectrumPoly":
-        return SpectrumPoly({Fraction(0): 1})
-
     def __mul__(self, other: "SpectrumPoly") -> "SpectrumPoly":
         out: dict = {}
         for e1, c1 in self.coeffs.items():

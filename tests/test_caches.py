@@ -10,8 +10,18 @@ import json
 import pkgutil
 
 import motivint
-from motivint.arcs import MonomialGeometry, exp_series, measure_gt, measure_series
+from motivint.arcs import (
+    MonomialGeometry,
+    exp_series,
+    measure_gt,
+    measure_series,
+    ts_check,
+    zeta_series,
+)
+from motivint.characters import Character
 from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
+from motivint.motives import MotiveFrac
+from motivint.series import rs_normalize
 from motivint.spectra import sg
 
 GEOMETRIES = [
@@ -20,6 +30,7 @@ GEOMETRIES = [
     MonomialGeometry.make(2, [0, 4], [1, 0], [2]),
     MonomialGeometry.make(3, [2, 2, 4], [0, 1, 0], [1, 3]),
 ]
+X3 = MonomialGeometry.make(1, [3], None, [1])
 
 
 def _modules():
@@ -61,13 +72,17 @@ def _series_bytes(s, coeff_to_json=motive_frac_to_json) -> str:
 
 
 def _outputs(geom, between) -> list[str]:
-    """measure_gt at level 40, the measure and exponential series and SG, as
-    bytes, calling ``between`` after each."""
+    """measure_gt at level 40, the measure and exponential series, SG and the
+    Thom-Sebastiani rows against x^3, as bytes, calling ``between`` after each."""
     stages = (
         lambda: json.dumps(motive_frac_to_json(measure_gt(geom, 40))),
         lambda: _series_bytes(measure_series(geom)),
         lambda: _series_bytes(exp_series(geom), uelement_to_json),
         lambda: json.dumps(uelement_to_json(sg(geom))),
+        lambda: json.dumps([
+            [i, uelement_to_json(product), uelement_to_json(direct), equal]
+            for i, product, direct, equal in ts_check(geom, X3, 8).rows
+        ]),
     )
     out = []
     for stage in stages:
@@ -88,3 +103,30 @@ def test_clearing_every_cache_part_way_keeps_every_byte():
         _clear_all()
         after.append(_outputs(geom, _clear_all))
     assert after == before
+
+
+def test_editing_a_returned_series_changes_no_later_result():
+    trivial = Character.trivial()
+    for geom in GEOMETRIES:
+        want = _series_bytes(zeta_series(geom, trivial))
+        edited = zeta_series(geom, trivial)
+        edited.poly[99] = MotiveFrac.one()
+        edited.terms.clear()
+        assert _series_bytes(zeta_series(geom, trivial)) == want
+
+
+def test_exp_series_builds_the_zeta_closed_form_once(monkeypatch):
+    import motivint.arcs as arcs
+
+    calls = []
+
+    def counted(num, den):
+        calls.append(den)
+        return rs_normalize(num, den)
+
+    monkeypatch.setattr(arcs, "rs_normalize", counted)
+    for geom in GEOMETRIES:
+        _clear_all()
+        calls.clear()
+        exp_series(geom)
+        assert len(calls) == 1

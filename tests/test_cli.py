@@ -410,23 +410,73 @@ def test_sg_spectrum_golden_bytes(tmp_path, capsys, name, command, code):
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("zeta_uv", ["zeta", "--character", "1/2", "--window", "0", "6"]),
-        ("zeta_lpow", ["zeta", "--character", "1/2", "--window", "0", "6", "--display", "lpow"]),
-        ("exp-series", ["exp-series"]),
-        ("measure", ["measure"]),
-        ("measure_gt5", ["measure", "--gt", "5"]),
+        ("zeta_uv", ["zeta", "--geometry", "{twisted}", "--character", "1/2", "--window", "0", "6"]),
+        ("zeta_lpow", ["zeta", "--geometry", "{twisted}", "--character", "1/2", "--window", "0", "6",
+                       "--display", "lpow"]),
+        ("exp-series", ["exp-series", "--geometry", "{twisted}"]),
+        ("measure", ["measure", "--geometry", "{twisted}"]),
+        ("measure_gt5", ["measure", "--geometry", "{twisted}", "--gt", "5"]),
+        ("thom-sebastiani_y3",
+         ["thom-sebastiani", "--left", "{x2}", "--right", "{y3}", "--imax", "12"]),
+        ("thom-sebastiani_x2y3",
+         ["thom-sebastiani", "--left", "{twisted}", "--right", "{x2y3}", "--imax", "12"]),
     ],
 )
 def test_series_golden_bytes(tmp_path, capsys, name, argv):
     # outputs recorded from the Fraction-keyed motive_class_to_json and
-    # _pretty_frac, on the twisted origin geometry
-    geom = str(GOLDEN / "twisted.geometry.json")
-    want = (GOLDEN / f"twisted.{name}.json").read_text(encoding="utf-8")
-    assert main([argv[0], "--geometry", geom, *argv[1:]]) == 0
+    # _pretty_frac, and the product and direct Thom-Sebastiani rows from the
+    # memoized _diag_level and _zeta_common; each is kept in
+    # <first geometry>.<name>.json
+    want = (GOLDEN / f"{argv[2].strip('{}')}.{name}.json").read_text(encoding="utf-8")
+    geometries = {g: str(GOLDEN / f"{g}.geometry.json") for g in ("twisted", "x2y3", "x2", "y3")}
+    argv = [a.format(**geometries) for a in argv]
+    assert main(argv) == 0
     assert capsys.readouterr().out == want
     out = tmp_path / "out.json"
-    assert main([argv[0], "--geometry", geom, *argv[1:], "--output", str(out)]) == 0
+    assert main([*argv, "--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["zeta", "--geometry", "g.json"],
+            "motivint zeta: the following arguments are required: --character",
+        ),
+        (
+            ["frobnicate"],
+            "motivint: argument command: invalid choice: 'frobnicate' (choose from 'zeta', "
+            "'exp-series', 'measure', 'sg', 'spectrum', 'thom-sebastiani', 'oracle', 'selftest')",
+        ),
+        (
+            ["thom-sebastiani", "--left", "a.json", "--right", "b.json", "--imax", "ten"],
+            "motivint thom-sebastiani: argument --imax: invalid int value: 'ten'",
+        ),
+    ],
+    ids=["missing-option", "unknown-command", "bad-int"],
+)
+def test_usage_error_bytes(capsys, argv, want):
+    # an argparse error is an invalid input like any other: one JSON line on
+    # stdout and exit 2, not usage text on stderr
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps({"error": want}) + "\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, name", [(["--help"], "help"), (["zeta", "--help"], "zeta.help")])
+def test_help_golden_bytes(capsys, monkeypatch, argv, name):
+    # --help still prints to stdout and exits 0, as argparse does
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert captured.err == ""
 
 
 # (first, second): the second call leaves out an option that the first sets

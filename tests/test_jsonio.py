@@ -135,7 +135,7 @@ def _fracs_of(series):
 
 def test_motive_class_to_json_matches_fraction_keyed_encoder():
     from motivint.cli import _pretty_frac
-    from motivint.motives import MotiveClass, MotiveFrac
+    from motivint.motives import MotiveFrac, _class
     from motivint.series import exp_t
     from motivint.spectra import sg
     from test_caches import GEOMETRIES
@@ -144,12 +144,11 @@ def test_motive_class_to_json_matches_fraction_keyed_encoder():
     fracs = [
         # mixed int and Fraction exponents, negative fractional exponents, and
         # Fraction(n, 1) coefficients stored as they are
-        MotiveFrac(MotiveClass({
+        MotiveFrac(_class({
             (F(-1, 2), F(1, 2)): F(3, 1), (0, 0): F(-2, 1), (F(1, 3), F(-4, 3)): F(5, 7),
             (-1, 2): 4, (F(-7, 2), F(5, 2)): -1, (F(-1, 2), F(-1, 2)): F(1, 2),
-        }, _validated=True), [(1, 0), (-2, -1)]),
-        MotiveFrac(MotiveClass({(F(-3), F(-3)): F(6, 1), (F(2), F(2)): F(-4, 2)},
-                               _validated=True)),
+        }), [(1, 0), (-2, -1)]),
+        MotiveFrac(_class({(F(-3), F(-3)): F(6, 1), (F(2), F(2)): F(-4, 2)})),
     ]
     fracs += [random_motive_frac(random.Random(seed)) for seed in range(20)]
     for geom in GEOMETRIES:
