@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .characters import Character, characters_of_order_dividing
 from .gaussring import UElement
@@ -283,46 +283,51 @@ def _diag_fermat_sum(left: MonomialGeometry, right: MonomialGeometry, alpha: Cha
     return total
 
 
-def _diag_level(left: MonomialGeometry, right: MonomialGeometry, alpha: Character, k: int) -> MotiveFrac:
-    """Integral over the equal-order stratum ord f = ord f' = k of {ord (f+f') = k}."""
-    fsum = _diag_fermat_sum(left, right, alpha)
-    if not fsum:
-        return MotiveFrac.zero()
-    prod = char_integral(left, Character.trivial(), k) * char_integral(
-        right, Character.trivial(), k
-    )
-    return (prod * fsum).div_lpow_diff(1, 0)
-
-
 @lru_cache(maxsize=_PER_COEFFICIENT)
 def _diag_tail_seed(left: MonomialGeometry, right: MonomialGeometry, k: int) -> MotiveFrac:
     """Total of the equal-order-k stratum over ord (f+f') > k; vanishing cancellation tail."""
     trivial = Character.trivial()
     prod = char_integral(left, trivial, k) * char_integral(right, trivial, k)
-    return prod - _diag_level(left, right, trivial, k)
+    fsum = _diag_fermat_sum(left, right, trivial)
+    return prod - (prod * fsum).div_lpow_diff(1, 0) if fsum else prod
 
 
 def ts_direct_zeta(
     left: MonomialGeometry, right: MonomialGeometry, alpha: Character, i: int
 ) -> MotiveFrac:
-    """Character integral of the sum geometry at order i, stratified by factor orders.
+    """Character integral of the sum geometry at order i (see _ts_direct_strata)."""
+    return _ts_direct_strata(left, right, i).get(alpha, MotiveFrac.zero())
 
-    Off-diagonal strata carry the leading coefficient of the smaller-order
-    factor; the equal-order-i stratum is a Fermat-torus class sum over
-    character factorizations; equal orders below i contribute only for the
-    trivial character, through a geometric tail with ratio 1/L.
+
+def _ts_direct_strata(left: MonomialGeometry, right: MonomialGeometry, i: int) -> dict:
+    """Character integrals of the sum geometry at order i, stratified by factor orders.
+
+    The strata are formed once: off-diagonal ones carry the leading coefficient
+    of the smaller-order factor, the equal-order-i one the product of both.
+    Each character of order dividing lcm(gcd f, gcd f') weighs them by whether
+    it passes each factor and by its Fermat-torus class sum; equal orders below
+    i contribute only for the trivial character, through a geometric tail with
+    ratio 1/L.  Every other character integrates to zero.
     """
     if i < 0:
         raise GeometryError("contact order must be nonnegative")
-    out = char_integral(left, alpha, i) * measure_gt(right, i)
-    out = out + char_integral(right, alpha, i) * measure_gt(left, i)
-    out = out + _diag_level(left, right, alpha, i)
-    if alpha.is_trivial():
-        lm1 = MotiveClass.lpow(1) - 1
-        for k in range(1, i):
-            seed = _diag_tail_seed(left, right, k)
-            if seed:
-                out = out + (seed * lm1).mul_lpow(-(i - k))
+    trivial = Character.trivial()
+    c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
+    off_left, off_right = c_left * measure_gt(right, i), c_right * measure_gt(left, i)
+    prod, zero, lm1 = c_left * c_right, MotiveFrac.zero(), MotiveClass.lpow(1) - 1
+    out = {}
+    for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
+        value = off_left if _passes(left, alpha) else zero
+        value = value + (off_right if _passes(right, alpha) else zero)
+        fsum = _diag_fermat_sum(left, right, alpha)
+        if fsum:
+            value = value + (prod * fsum).div_lpow_diff(1, 0)
+        if alpha.is_trivial():
+            for k in range(1, i):
+                seed = _diag_tail_seed(left, right, k)
+                if seed:
+                    value = value + (seed * lm1).mul_lpow(-(i - k))
+        out[alpha] = value
     return out
 
 
@@ -340,17 +345,10 @@ def ts_direct_exp_coefficient(
     left: MonomialGeometry, right: MonomialGeometry, i: int
 ) -> UElement:
     """Exponential coefficient of the sum geometry assembled from direct strata."""
-    trivial = Character.trivial()
-    order = lcm(left.order_gcd, right.order_gcd)
+    strata = _ts_direct_strata(left, right, i)
     scalar = ts_direct_measure_gt(left, right, i)
-    scalar = scalar - ts_direct_zeta(left, right, trivial, i).div_lpow_diff(1, 0)
-    gauss = {}
-    for alpha in characters_of_order_dividing(order):
-        if alpha.is_trivial():
-            continue
-        c = ts_direct_zeta(left, right, alpha, i)
-        if c:
-            gauss[alpha.inverse()] = c.div_lpow_diff(1, 0)
+    scalar = scalar - strata.pop(Character.trivial()).div_lpow_diff(1, 0)
+    gauss = {alpha.inverse(): c.div_lpow_diff(1, 0) for alpha, c in strata.items() if c}
     return UElement(scalar, gauss)
 
 
@@ -367,6 +365,35 @@ class TSReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+# Work cap of ``thom-sebastiani --imax``, in the units of ts_check_terms.  A
+# unit costs up to about 1 us at the dearest shapes measured (2-core x86 VM,
+# CPython 3.11.7): at the cap, x against y (imax 765) took 9.3 s, the twisted
+# xyz (g = x y^2 z^3) against x (imax 121) 8.9 s and the twisted xy
+# (g = x y^2) against itself (imax 293) 9.1 s, so the cap is about 10 s.
+# x^2 against y^3 (imax 761) took 2.0-2.9 s, and the 2-d twisted pair
+# f = x^2 y^4 (g = x y^2) against x^2 y^3 (imax 293) 3.1-4.4 s.
+MAX_TS_TERMS = 10_000_000
+
+
+def ts_check_terms(left: MonomialGeometry, right: MonomialGeometry, i_max: int) -> int:
+    """Work estimate of ts_check(left, right, i_max).
+
+    The trivial tail and the class products count 16 per order squared; the
+    estimate stops there once that passes MAX_TS_TERMS.  A factor whose f has
+    s coordinates visits about C(i_max + s + 1, s + 1) contact vectors in its
+    lattice walks up to order i_max.  Each order weighs its strata for every
+    character of order dividing lcm(gcd f, gcd f'), whose Fermat sums range
+    once over the left factor's characters: 32 per character and per order
+    or left character.
+    """
+    tail = 16 * i_max * i_max
+    if tail > MAX_TS_TERMS:
+        return tail
+    walks = sum(comb(i_max + s + 1, s + 1) for s in (len(left.support), len(right.support)))
+    characters = lcm(left.order_gcd, right.order_gcd)
+    return tail + walks + 32 * characters * (i_max + left.order_gcd)
 
 
 def ts_check(left: MonomialGeometry, right: MonomialGeometry, i_max: int) -> TSReport:

@@ -13,12 +13,14 @@ import sys
 from functools import lru_cache
 
 from .arcs import (
+    MAX_TS_TERMS,
     GeometryError,
     MonomialGeometry,
     exp_series,
     measure_gt,
     measure_series,
     ts_check,
+    ts_check_terms,
     zeta_series,
 )
 from .characters import Character
@@ -210,6 +212,10 @@ def cmd_thom_sebastiani(args) -> int:
     right = _load_geometry(args.right)
     if args.imax < 1:
         raise CliError("--imax must be >= 1")
+    if ts_check_terms(left, right, args.imax) > MAX_TS_TERMS:
+        raise CliError(
+            f"the Thom-Sebastiani check exceeds the limit of {MAX_TS_TERMS} work terms"
+        )
 
     report = ts_check(left, right, args.imax)
     coeffs = [

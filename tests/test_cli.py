@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from motivint.arcs import MAX_TS_TERMS, MonomialGeometry, ts_check_terms
 from motivint.cli import build_parser, main
 from motivint.oracles import (
     MAX_CHARACTER_TERMS,
@@ -137,6 +138,71 @@ def test_thom_sebastiani_check(tmp_path, capsys):
     assert payload["pass"] is True
     assert len(payload["coefficients"]) == 8
     assert all(row["equal"] for row in payload["coefficients"])
+
+
+def _largest_admitted_imax(left, right) -> int:
+    lo, hi = 1, MAX_TS_TERMS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if ts_check_terms(left, right, mid) <= MAX_TS_TERMS else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize(
+    "left, right, imax",
+    [(X2, Y3, "100000"), ({**X2, "f_exponents": [120]}, {**Y3, "f_exponents": [119]}, "1")],
+    ids=["imax-100000", "14280-characters"],
+)
+def test_thom_sebastiani_rejects_oversized_work(tmp_path, capsys, left, right, imax):
+    # refused before any coefficient is built; the first printed nothing in
+    # 15 s, the second (its Fermat sums alone) ran for 33 s
+    argv = ["thom-sebastiani", "--left", write_geom(tmp_path, "l.json", left),
+            "--right", write_geom(tmp_path, "r.json", right), "--imax", imax]
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "exceeds the limit" in json.loads(out)["error"]
+
+
+def test_ts_check_limit_boundary():
+    # the largest admitted --imax of shapes measured against the cap: x^2/y^3,
+    # x/y, the 2-d twisted pair against x^2 y^3, the twisted xy (g = x y^2)
+    # against itself and the twisted xyz (g = x y^2 z^3) against x
+    def geom(f, g):
+        return MonomialGeometry.make(len(f), f, g, range(1, len(f) + 1))
+
+    x = geom([1], [0])
+    xyt = geom([1, 1], [1, 2])
+    for left, right, largest in [
+        (geom([2], [0]), geom([3], [0]), 761),
+        (x, x, 765),
+        (geom([2, 4], [1, 2]), geom([2, 3], [0, 0]), 293),
+        (xyt, xyt, 293),
+        (geom([1, 1, 1], [1, 2, 3]), x, 121),
+    ]:
+        assert _largest_admitted_imax(left, right) == largest
+    # many coordinates at a small order: the walks alone visit about C(51, 41)
+    assert ts_check_terms(geom([1] * 40, [0] * 40), x, 10) > MAX_TS_TERMS
+    # every one-variable pair of the benchmark at its 30 levels
+    for a in range(1, 7):
+        for b in range(1, 7):
+            assert ts_check_terms(geom([a], [2]), geom([b], [2]), 30) < MAX_TS_TERMS // 100
+
+
+def test_thom_sebastiani_largest_admitted_imax_completes(tmp_path, capsys):
+    imax = _largest_admitted_imax(
+        MonomialGeometry.make(1, [2], None, [1]), MonomialGeometry.make(1, [3], None, [1])
+    )
+    left, right = write_geom(tmp_path, "x2.json", X2), write_geom(tmp_path, "y3.json", Y3)
+    code, payload = run_cli(
+        capsys, "thom-sebastiani", "--left", left, "--right", right, "--check", "--imax", str(imax)
+    )
+    assert code == 0
+    assert payload["pass"] is True
+    assert len(payload["coefficients"]) == imax
 
 
 def test_measure_and_sg(tmp_path, capsys):
@@ -420,15 +486,21 @@ def test_sg_spectrum_golden_bytes(tmp_path, capsys, name, command, code):
          ["thom-sebastiani", "--left", "{x2}", "--right", "{y3}", "--imax", "12"]),
         ("thom-sebastiani_x2y3",
          ["thom-sebastiani", "--left", "{twisted}", "--right", "{x2y3}", "--imax", "12"]),
+        ("thom-sebastiani_y4g2",
+         ["thom-sebastiani", "--left", "{x6g1}", "--right", "{y4g2}", "--imax", "13"]),
     ],
 )
 def test_series_golden_bytes(tmp_path, capsys, name, argv):
     # outputs recorded from the Fraction-keyed motive_class_to_json and
     # _pretty_frac, and the product and direct Thom-Sebastiani rows from the
-    # memoized _diag_level and _zeta_common; each is kept in
-    # <first geometry>.<name>.json
+    # direct path that recomputed each stratum once per character; each is
+    # kept in <first geometry>.<name>.json.  x^6 (g = x) against y^4 (g = y^2)
+    # has characters that pass one factor, both or neither, characters of
+    # order 12 that meet only the Fermat diagonal at i = 12, and the trivial
+    # tail at i = 13
     want = (GOLDEN / f"{argv[2].strip('{}')}.{name}.json").read_text(encoding="utf-8")
-    geometries = {g: str(GOLDEN / f"{g}.geometry.json") for g in ("twisted", "x2y3", "x2", "y3")}
+    names = ("twisted", "x2y3", "x2", "y3", "x6g1", "y4g2")
+    geometries = {g: str(GOLDEN / f"{g}.geometry.json") for g in names}
     argv = [a.format(**geometries) for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == want
