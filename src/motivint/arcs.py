@@ -110,41 +110,46 @@ _PER_GEOMETRY = 64
 _PER_COEFFICIENT = 1 << 15
 
 
+def _coordinate_measure(c: int) -> MotiveFrac:
+    """Measure of the arcs on one coordinate weighted by L^{-c ord}: (L-1) L^{c-1}/(L^c - 1)."""
+    return MotiveFrac((MotiveClass.lpow(1) - 1) * MotiveClass.lpow(c - 1), [(c, 0)])
+
+
 @lru_cache(maxsize=_PER_GEOMETRY)
 def _free_factor(geom: MonomialGeometry) -> MotiveFrac:
     """Contribution of coordinates outside the support of f, summed over all orders."""
     out = MotiveFrac.one()
-    lm1 = MotiveClass.lpow(1) - 1
     for j in geom.free_positions:
-        c = 1 + geom.g_exponents[j]
-        out = out * MotiveFrac(lm1 * MotiveClass.lpow(c - 1), [(c, 0)])
+        out = out * _coordinate_measure(1 + geom.g_exponents[j])
     return out
 
 
 @lru_cache(maxsize=_PER_COEFFICIENT)
 def _lattice_sum(geom: MonomialGeometry, i: int) -> MotiveClass:
-    """Sum over contact orders on the support with total f-order i, based on W."""
+    """Sum over contact orders on the support with total f-order i, based on W.
+
+    The orders of all support coordinates but the last are walked with an
+    explicit stack; the remaining f-order then fixes the last one, if any.
+    """
     sup = geom.support
-    weights = [1 + geom.g_exponents[j] for j in sup]
-    must = [geom.f_exponents[j] for j in sup]
-    in_w = [(j + 1) in geom.w_indices for j in sup]
+    *head, last = sup
+    n_last, c_last = geom.f_exponents[last], 1 + geom.g_exponents[last]
     counts: dict = {}
-
-    def walk(pos: int, remaining: int, exp_acc: int, touched: bool) -> None:
-        if pos == len(sup):
-            if remaining == 0 and touched:
-                counts[exp_acc] = counts.get(exp_acc, 0) + 1
-            return
-        n_j = must[pos]
-        for k in range(0, remaining // n_j + 1):
-            walk(
-                pos + 1,
-                remaining - k * n_j,
-                exp_acc - k * weights[pos],
-                touched or (k >= 1 and in_w[pos]),
+    stack = [(0, i, -len(sup), False)]
+    while stack:
+        pos, remaining, exp_acc, touched = stack.pop()
+        if pos == len(head):
+            k, rest = divmod(remaining, n_last)
+            if not rest and (touched or (k >= 1 and (last + 1) in geom.w_indices)):
+                e = exp_acc - k * c_last
+                counts[e] = counts.get(e, 0) + 1
+            continue
+        j = head[pos]
+        n_j, c_j, in_w = geom.f_exponents[j], 1 + geom.g_exponents[j], (j + 1) in geom.w_indices
+        for k in range(remaining // n_j + 1):
+            stack.append(
+                (pos + 1, remaining - k * n_j, exp_acc - k * c_j, touched or (k >= 1 and in_w))
             )
-
-    walk(0, i, -len(sup), False)
     total = MotiveClass({(e, e): c for e, c in counts.items()})
     return total * (MotiveClass.lpow(1) - 1) ** len(sup)
 
@@ -165,20 +170,16 @@ def _zeta_fraction(geom: MonomialGeometry) -> tuple[tuple, tuple]:
     den = tuple((-(1 + geom.g_exponents[j]), geom.f_exponents[j]) for j in sup)
     lm1 = MotiveClass.lpow(1) - 1
     base = _free_factor(geom) * (lm1 ** len(sup)).shift(-len(sup))
-    w_pos = sorted(j for j in sup if (j + 1) in geom.w_indices)
-    num: dict = {}
-    for mask in range(1, 1 << len(w_pos)):
-        sign = -1
-        t_exp = 0
-        shift = 0
-        for b, j in enumerate(w_pos):
-            if mask >> b & 1:
-                sign = -sign
-                t_exp += geom.f_exponents[j]
-                shift -= 1 + geom.g_exponents[j]
-        coeff = base.mul_lpow(shift) * sign
-        cur = num.get(t_exp)
-        num[t_exp] = coeff if cur is None else cur + coeff
+    # base * (1 - prod over j in W of (1 - L^{-c_j} T^{n_j})), one coordinate at a time
+    units = {0: MotiveClass.one()}
+    for j in sup:
+        if (j + 1) in geom.w_indices:
+            n, c = geom.f_exponents[j], 1 + geom.g_exponents[j]
+            step = dict(units)
+            for t, cls in units.items():
+                step[t + n] = step.get(t + n, MotiveClass.zero()) - cls.shift(-c)
+            units = step
+    num = {t: base * -cls for t, cls in units.items() if t and cls}
     return tuple(sorted(num.items())), den
 
 
@@ -194,21 +195,18 @@ def zeta_series(geom: MonomialGeometry, alpha: Character) -> RationalSeries:
 
 
 def measure_total(geom: MonomialGeometry) -> MotiveFrac:
-    """The g-twisted motivic measure of all arcs based on W."""
-    sup = geom.support
-    lm1 = MotiveClass.lpow(1) - 1
-    w_pos = sorted(j for j in sup if (j + 1) in geom.w_indices)
-    total = MotiveFrac.zero()
-    for mask in range(1, 1 << len(w_pos)):
-        forced = {w_pos[b] for b in range(len(w_pos)) if mask >> b & 1}
-        sign = -1 if len(forced) % 2 == 0 else 1
-        piece = MotiveFrac.one()
-        for j in sup:
-            c = 1 + geom.g_exponents[j]
-            start = c if j in forced else 0
-            piece = piece * MotiveFrac(lm1 * MotiveClass.lpow(c - 1 - start), [(c, 0)])
-        total = total + piece * sign
-    return _free_factor(geom) * total
+    """The g-twisted motivic measure of all arcs based on W.
+
+    All arcs less those on which every x_j, j in W, is a unit: there the
+    one-coordinate measure of x_j gives way to that of ord x_j = 0, (L-1)/L.
+    """
+    unit = MotiveFrac((MotiveClass.lpow(1) - 1).shift(-1))
+    every = off_w = MotiveFrac.one()
+    for j in geom.support:
+        mu = _coordinate_measure(1 + geom.g_exponents[j])
+        every = every * mu
+        off_w = off_w * (unit if (j + 1) in geom.w_indices else mu)
+    return _free_factor(geom) * (every - off_w)
 
 
 @lru_cache(maxsize=_PER_GEOMETRY)

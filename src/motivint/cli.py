@@ -36,6 +36,7 @@ from .jsonio import (
 from .motives import MotiveFrac
 from .oracles import (
     MAX_GAUSS_PRIME,
+    TOLERANCE,
     PadicContext,
     check_character_sums,
     check_enumeration,
@@ -283,7 +284,7 @@ def cmd_oracle_gauss(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     pairs, worst = gauss_jacobi_residue(ctx)
-    ok = worst <= 1e-9
+    ok = worst <= TOLERANCE
     payload = {
         "prime": p,
         "pairs_checked": pairs,

@@ -12,18 +12,15 @@ and the trivial basis element is the constant -1, folded into the scalar.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .characters import Character, gamma
-from .motives import MotiveClass, MotiveFrac
+from .motives import MotiveClass, MotiveFrac, _as_frac, jacobi
 
 
 def _coeff(x) -> MotiveFrac:
-    if isinstance(x, MotiveFrac):
-        return x
-    if isinstance(x, (int, Fraction, MotiveClass)):
-        return MotiveFrac(x)
-    raise TypeError(f"cannot use {x!r} as a coefficient")
+    c = _as_frac(x)
+    if c is NotImplemented:
+        raise TypeError(f"cannot use {x!r} as a coefficient")
+    return c
 
 
 class UElement:
@@ -90,12 +87,12 @@ class UElement:
         return _as_u(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MotiveClass, MotiveFrac)):
-            c = _coeff(other)
-            return UElement(self.scalar * c, {a: v * c for a, v in self.gauss.items()})
-        if not isinstance(other, UElement):
+        if isinstance(other, UElement):
+            return u_mul(self, other)
+        c = _as_frac(other)
+        if c is NotImplemented:
             return NotImplemented
-        return u_mul(self, other)
+        return UElement(self.scalar * c, {a: v * c for a, v in self.gauss.items()})
 
     __rmul__ = __mul__
 
@@ -138,15 +135,12 @@ class UElement:
 def _as_u(x):
     if isinstance(x, UElement):
         return x
-    if isinstance(x, (int, Fraction, MotiveClass, MotiveFrac)):
-        return UElement(x)
-    return NotImplemented
+    c = _as_frac(x)
+    return c if c is NotImplemented else UElement(c)
 
 
 def u_mul(x: UElement, y: UElement) -> UElement:
     """Bilinear product with the Gauss-sum relations; no trivial G in the output."""
-    from .motives import jacobi
-
     scalar = x.scalar * y.scalar
     gauss: dict = {}
 
@@ -164,16 +158,15 @@ def u_mul(x: UElement, y: UElement) -> UElement:
     for b, c in y.gauss.items():
         add_gauss(b, c * x.scalar)
     L = MotiveClass.lpow(1)
-    nonlocal_scalar = scalar
     for a, ca in x.gauss.items():
         for b, cb in y.gauss.items():
             prod = ca * cb
             ab = a * b
             if ab.is_trivial():
-                nonlocal_scalar = nonlocal_scalar + prod * L
+                scalar = scalar + prod * L
             else:
                 add_gauss(ab, prod * jacobi(a, b))
-    return UElement(nonlocal_scalar, gauss)
+    return UElement(scalar, gauss)
 
 
 def hodge_realize_u(x: UElement) -> MotiveFrac:

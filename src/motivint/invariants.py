@@ -18,6 +18,7 @@ from .characters import Character, characters_of_order_dividing
 from .gaussring import UElement, hodge_realize_u
 from .motives import MotiveClass, MotiveFrac, jacobi
 from .oracles import (
+    TOLERANCE,
     PadicContext,
     ResidueCharacter,
     check_exp_decomposition,
@@ -124,10 +125,10 @@ def gauss_jacobi_residue(ctx: PadicContext) -> tuple[int, float]:
     return pairs, worst
 
 
-def finite_field_shadow(primes, tol: float = 1e-9):
-    """The finite-field Gauss/Jacobi relations hold to tol at each prime."""
+def finite_field_shadow(primes):
+    """The finite-field Gauss/Jacobi relations hold to the oracle tolerance at each prime."""
     for p in primes:
-        if gauss_jacobi_residue(PadicContext(p, 1))[1] > tol:
+        if gauss_jacobi_residue(PadicContext(p, 1))[1] > TOLERANCE:
             return p
     return None
 

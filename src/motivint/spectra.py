@@ -79,14 +79,9 @@ class SpectrumPoly:
 
 
 def chi_c_w(geom: MonomialGeometry) -> MotiveClass:
-    """Class of the hyperplane union, by inclusion-exclusion over intersections."""
-    w = sorted(geom.w_indices)
-    total = MotiveClass.zero()
-    for mask in range(1, 1 << len(w)):
-        size = bin(mask).count("1")
-        sign = 1 if size % 2 == 1 else -1
-        total = total + MotiveClass.lpow(geom.m - size) * sign
-    return total
+    """Class of the hyperplane union: affine space less the points off every hyperplane."""
+    w = len(geom.w_indices)
+    return MotiveClass.lpow(geom.m) - (MotiveClass.lpow(1) - 1) ** w * MotiveClass.lpow(geom.m - w)
 
 
 def _psi_class(geom: MonomialGeometry) -> MotiveFrac:

@@ -123,6 +123,15 @@ def test_char_integral_free_coordinate():
     assert abs(complex(char_integral(geom, TRIV, 2).eval_l(Fraction(3))) - want) < 1e-9
 
 
+def test_char_integral_many_coordinates():
+    # f = x1...x1200 with W = {x1 = 0}: the lattice walk keeps no frame per
+    # coordinate, and the one contact vector of order 1, (1, 0, ..., 0), has
+    # ord x1 = 1 and every other coordinate a unit
+    m = 1200
+    geom = MonomialGeometry.make(m, [1] * m, None, [1])
+    assert char_integral(geom, TRIV, 1) == MotiveFrac(((L(1) - 1) * L(-1)) ** m * L(-1))
+
+
 def test_zeta_series_examples():
     z = zeta_series(X2, HALF)
     for i in range(0, 13):

@@ -240,6 +240,22 @@ def test_exp_series_command(tmp_path, capsys):
     assert payload["series"]["terms"]
 
 
+@pytest.mark.parametrize("command", ["measure", "exp-series", "sg"])
+def test_sixteen_hyperplanes_complete(tmp_path, capsys, command):
+    # f = x1...x16 with W = all 16 hyperplanes: the closed forms are products
+    # over the coordinates, not sums over the 2^16 subsets of W
+    m = 16
+    geom = write_geom(
+        tmp_path, "x16.json",
+        {"ambient_dim": m, "f_exponents": [1] * m, "g_exponents": [0] * m,
+         "w_indices": list(range(1, m + 1))},
+    )
+    t0 = time.perf_counter()
+    code, _payload = run_cli(capsys, command, "--geometry", geom)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+
+
 def test_oracle_padic(capsys):
     code, payload = run_cli(
         capsys, "oracle", "padic", "--poly", "x^2", "--prime", "5", "--level", "0"
@@ -488,6 +504,10 @@ def test_sg_spectrum_golden_bytes(tmp_path, capsys, name, command, code):
          ["thom-sebastiani", "--left", "{twisted}", "--right", "{x2y3}", "--imax", "12"]),
         ("thom-sebastiani_y4g2",
          ["thom-sebastiani", "--left", "{x6g1}", "--right", "{y4g2}", "--imax", "13"]),
+        ("sg", ["sg", "--geometry", "{wide_w}"]),
+        ("measure", ["measure", "--geometry", "{wide_w}"]),
+        ("exp-series", ["exp-series", "--geometry", "{wide_w}"]),
+        ("measure_gt4", ["measure", "--geometry", "{wide_w}", "--gt", "4"]),
     ],
 )
 def test_series_golden_bytes(tmp_path, capsys, name, argv):
@@ -497,9 +517,11 @@ def test_series_golden_bytes(tmp_path, capsys, name, argv):
     # kept in <first geometry>.<name>.json.  x^6 (g = x) against y^4 (g = y^2)
     # has characters that pass one factor, both or neither, characters of
     # order 12 that meet only the Fermat diagonal at i = 12, and the trivial
-    # tail at i = 13
+    # tail at i = 13.  wide_w is f = x1 x2^2 x3 x4 x5 x6^2, g = x2 x5^2 x7
+    # with W = {1..5}: five hyperplanes, twists on W, a support coordinate
+    # outside W and a free coordinate
     want = (GOLDEN / f"{argv[2].strip('{}')}.{name}.json").read_text(encoding="utf-8")
-    names = ("twisted", "x2y3", "x2", "y3", "x6g1", "y4g2")
+    names = ("twisted", "x2y3", "x2", "y3", "x6g1", "y4g2", "wide_w")
     geometries = {g: str(GOLDEN / f"{g}.geometry.json") for g in names}
     argv = [a.format(**geometries) for a in argv]
     assert main(argv) == 0
