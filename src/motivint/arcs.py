@@ -130,6 +130,7 @@ def _lattice_sum(geom: MonomialGeometry, i: int) -> MotiveClass:
 
     The orders of all support coordinates but the last are walked with an
     explicit stack; the remaining f-order then fixes the last one, if any.
+    Once the remaining f-order is 0, every later order is 0.
     """
     sup = geom.support
     *head, last = sup
@@ -138,6 +139,10 @@ def _lattice_sum(geom: MonomialGeometry, i: int) -> MotiveClass:
     stack = [(0, i, -len(sup), False)]
     while stack:
         pos, remaining, exp_acc, touched = stack.pop()
+        if not remaining:
+            if touched:
+                counts[exp_acc] = counts.get(exp_acc, 0) + 1
+            continue
         if pos == len(head):
             k, rest = divmod(remaining, n_last)
             if not rest and (touched or (k >= 1 and (last + 1) in geom.w_indices)):

@@ -21,9 +21,10 @@ from .oracles import (
     TOLERANCE,
     PadicContext,
     ResidueCharacter,
+    character_values,
     check_exp_decomposition,
     gauss_sum_numeric,
-    jacobi_sum_numeric,
+    jacobi_sum_from_values,
     phi_one,
 )
 from .polyparse import parse_poly
@@ -109,6 +110,8 @@ def gauss_jacobi_residue(ctx: PadicContext) -> tuple[int, float]:
     p = ctx.p
     chars = [ResidueCharacter(p, 1, k) for k in range(p - 1)]
     gs = {c.index: gauss_sum_numeric(ctx, c) for c in chars}
+    # each character's values once per call, not once per Jacobi sum
+    values = {c.index: character_values(c) for c in chars}
     worst = 0.0
     pairs = 0
     for c1 in chars:
@@ -118,7 +121,7 @@ def gauss_jacobi_residue(ctx: PadicContext) -> tuple[int, float]:
             prod = c1 * c2
             if c1.is_trivial() or c2.is_trivial() or prod.is_trivial():
                 continue
-            j = jacobi_sum_numeric(p, c1, c2)
+            j = jacobi_sum_from_values(values[c1.index], values[c2.index])
             worst = max(worst, abs(gs[c1.index] * gs[c2.index] - j * gs[prod.index]))
             worst = max(worst, abs(abs(j) - p**0.5))
             pairs += 1

@@ -32,19 +32,19 @@ MAX_ENUMERATION_POINTS = 1_000_000
 
 # Work cap of the character sums of check_exp_decomposition at level i:
 # phi(p^(i+1)) characters, each summed over at most p^(i+1) value buckets
-# and paired with a Gauss sum of up to p^(i+1) terms.  A term
-# costs about 0.7-1.3 us (same machine; at level 0, x at p = 3001 took 9.2 s,
-# x at p = 3137 12.6 s and x at p = 2819, the largest admitted prime, 8.8 s;
-# x^2 at p = 53, level 1, 7.7e6 terms, 5.4 s), so the cap is about 10 s.  The
-# test suite goes up to 354294 terms (p = 3, level 5) and the benchmark to
-# 100842 (p = 7, level 2).
+# and paired with a Gauss sum of up to p^(i+1) terms, one exp per term in
+# either sum.  Cold, a term costs about 0.5-0.8 us (same machine; at level 0,
+# x at p = 2819, the largest admitted prime, took 4.9-6.0 s; x^2 at p = 53,
+# level 1, 7.7e6 terms, 3.8-4.1 s), so the cap is about 6 s.  The test suite
+# goes up to 354294 terms (p = 3, level 5) and the benchmark to 100842 (p = 7,
+# level 2).
 MAX_CHARACTER_TERMS = 8_000_000
 
 # Work cap of the finite-field Gauss/Jacobi suite (``oracle gauss``): the
 # largest prime p it runs at.  It checks about p^2 character pairs with an
-# O(p) Jacobi sum each, so its time grows as p^3: about 3.3 s at p = 167
-# (2-core x86 VM, CPython 3.11.7).  The test suite and the benchmark use
-# primes up to 19.
+# O(p) Jacobi sum each, read from per-character value tables, so its time
+# grows as p^3: about 0.8 s at p = 167 (2-core x86 VM, CPython 3.11.7).  The
+# test suite and the benchmark use primes up to 19.
 MAX_GAUSS_PRIME = 167
 
 
@@ -361,53 +361,97 @@ def padic_char_integral(
 # operations in the same order, so the same bits.
 
 
-def _char_sum(weights: dict, alpha: ResidueCharacter, p: int, i: int) -> complex:
-    """Sum of weight * alpha(ac val) over the value buckets with ord_p val = i."""
+def _unit_dlogs(weights: dict, p: int, i: int, c: int) -> list[tuple[int, float]]:
+    """(dlog of ac val mod p^c, weight) for the value buckets with ord_p val = i,
+    in bucket order: the terms of every character sum of conductor c."""
     pi_i = p**i
-    mod_c = p**alpha.conductor
-    dlog = _dlog_table(p, alpha.conductor)
-    arg = 2j * pi * alpha.index
-    order = alpha.group_order
-    total = 0j
+    mod_c = p**c
+    dlog = _dlog_table(p, c)
+    terms = []
     for val, fw in weights.items():
         if val % pi_i:
             continue
         unit = val // pi_i
         if unit % p == 0:
             continue  # ord f > i
-        total += fw * cmath.exp(arg * dlog[unit % mod_c] / order)
+        terms.append((dlog[unit % mod_c], fw))
+    return terms
+
+
+def _char_total(terms: list[tuple[int, float]], alpha: ResidueCharacter) -> complex:
+    """Sum of weight * alpha(v) over the (dlog v, weight) terms."""
+    arg = 2j * pi * alpha.index
+    order = alpha.group_order
+    total = 0j
+    for k, fw in terms:
+        total += fw * cmath.exp(arg * k / order)
     return total
+
+
+def _char_sum(weights: dict, alpha: ResidueCharacter, p: int, i: int) -> complex:
+    """Sum of weight * alpha(ac val) over the value buckets with ord_p val = i."""
+    return _char_total(_unit_dlogs(weights, p, i, alpha.conductor), alpha)
+
+
+# Like _dlog_table, 32 moduli p^c; every character of a modulus reads it.
+@lru_cache(maxsize=32)
+def _psi_table(p: int, c: int) -> tuple[tuple[int, complex], ...]:
+    """(v, Psi(v / p^c)) for the units 0 < v < p^c, in increasing order."""
+    mod = p**c
+    # additive_character(v, mod), as 0 < v < mod
+    return tuple((v, cmath.exp(2j * pi * v / mod)) for v in range(1, mod) if v % p)
+
+
+# A Gauss sum depends on p and the character alone, not on f, Phi or the
+# level, so it is evaluated once per character: a check_exp_decomposition at
+# level i asks for phi(p^(i+1)) of them, and one round of the padic_oracle
+# benchmark asks 2,008 times for 468 distinct ones.  An entry is one complex.
+@lru_cache(maxsize=4096)
+def _gauss_sum(p: int, c: int, index: int) -> complex:
+    dlog = _dlog_table(p, c)
+    arg = 2j * pi * index
+    order = (p - 1) * p ** (c - 1)
+    total = 0j
+    for v, psi in _psi_table(p, c):
+        total += cmath.exp(arg * dlog[v] / order) * psi
+    return p ** (1 - c) * total
 
 
 def gauss_sum_numeric(ctx: PadicContext, alpha: ResidueCharacter) -> complex:
     """q^{1-c} sum over units v mod p^c of alpha(v) Psi(v / p^c)."""
-    p, c = ctx.p, alpha.conductor
-    mod = p**c
-    dlog = _dlog_table(p, c)
-    arg = 2j * pi * alpha.index
-    order = alpha.group_order
-    two_pi_i = 2j * pi
+    if alpha.p != ctx.p:
+        raise ValueError("the character must be taken mod the context's prime")
+    return _gauss_sum(alpha.p, alpha.conductor, alpha.index)
+
+
+def character_values(chi: ResidueCharacter) -> list:
+    """[chi(x) for x mod p], with 0 at x = 0; conductor-1 characters only.
+
+    chi(1) = exp(0) = 1 exactly, so it is written down, not evaluated.
+    """
+    if chi.conductor != 1:
+        raise ValueError("value tables are taken for conductor-1 characters")
+    p = chi.p
+    dlog = _dlog_table(p, 1)
+    arg = 2j * pi * chi.index
+    order = p - 1
+    return [0j, 1 + 0j] + [cmath.exp(arg * dlog[x] / order) for x in range(2, p)]
+
+
+def jacobi_sum_from_values(values1: list, values2: list) -> complex:
+    """sum over x != 0, 1 mod p of chi1(x) chi2(1 - x), from character_values."""
+    p = len(values1)
     total = 0j
-    for v in range(1, mod):
-        if v % p == 0:
-            continue
-        # alpha(v) * additive_character(v, mod), as 0 < v < mod
-        total += cmath.exp(arg * dlog[v] / order) * cmath.exp(two_pi_i * v / mod)
-    return p ** (1 - c) * total
+    for x in range(2, p):
+        total += values1[x] * values2[p + 1 - x]  # 1 - x mod p
+    return total
 
 
 def jacobi_sum_numeric(p: int, chi1: ResidueCharacter, chi2: ResidueCharacter) -> complex:
     """sum over x != 0, 1 mod p of chi1(x) chi2(1 - x); conductor-1 characters only."""
     if chi1.conductor != 1 or chi2.conductor != 1 or chi1.p != p or chi2.p != p:
         raise ValueError("jacobi sums are taken for conductor-1 characters mod p")
-    dlog = _dlog_table(p, 1)
-    arg1 = 2j * pi * chi1.index
-    arg2 = 2j * pi * chi2.index
-    order = p - 1
-    total = 0j
-    for x in range(2, p):
-        total += cmath.exp(arg1 * dlog[x] / order) * cmath.exp(arg2 * dlog[(1 - x) % p] / order)
-    return total
+    return jacobi_sum_from_values(character_values(chi1), character_values(chi2))
 
 
 @dataclass
@@ -442,8 +486,10 @@ def check_exp_decomposition(f: IntPolynomial, ctx: PadicContext, phi, i: int) ->
     lhs = _psi_sum(weights, mod)
     # buckets hold f(x) mod p^{i+1}, so {ord f > i} is the bucket of 0
     rhs = complex(weights.get(0, 0.0))
+    # the buckets with ord = i - c + 1, listed once per conductor c
+    terms = {c: _unit_dlogs(weights, p, i - c + 1, c) for c in range(1, i + 2)}
     for alpha in characters_mod(p, i + 1):
-        z = _char_sum(weights, alpha, p, i - alpha.conductor + 1)
+        z = _char_total(terms[alpha.conductor], alpha)
         if z != 0:
             rhs += gauss_sum_numeric(ctx, alpha.inverse()) * z / (p - 1)
     return DecompositionReport(lhs=lhs, rhs=rhs)

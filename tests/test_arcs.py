@@ -6,6 +6,7 @@ import pytest
 from motivint.arcs import (
     GeometryError,
     MonomialGeometry,
+    _lattice_sum,
     big_d,
     char_integral,
     exp_coefficient,
@@ -130,6 +131,42 @@ def test_char_integral_many_coordinates():
     m = 1200
     geom = MonomialGeometry.make(m, [1] * m, None, [1])
     assert char_integral(geom, TRIV, 1) == MotiveFrac(((L(1) - 1) * L(-1)) ** m * L(-1))
+
+
+def _ref_lattice_sum(geom, i):
+    """arcs._lattice_sum's walk as it was before it stopped at remaining
+    order 0: every coordinate is walked, down to the last."""
+    sup = geom.support
+    *head, last = sup
+    n_last, c_last = geom.f_exponents[last], 1 + geom.g_exponents[last]
+    counts = {}
+    stack = [(0, i, -len(sup), False)]
+    while stack:
+        pos, remaining, exp_acc, touched = stack.pop()
+        if pos == len(head):
+            k, rest = divmod(remaining, n_last)
+            if not rest and (touched or (k >= 1 and (last + 1) in geom.w_indices)):
+                e = exp_acc - k * c_last
+                counts[e] = counts.get(e, 0) + 1
+            continue
+        j = head[pos]
+        n_j, c_j, in_w = geom.f_exponents[j], 1 + geom.g_exponents[j], (j + 1) in geom.w_indices
+        for k in range(remaining // n_j + 1):
+            stack.append(
+                (pos + 1, remaining - k * n_j, exp_acc - k * c_j, touched or (k >= 1 and in_w))
+            )
+    total = MotiveClass({(e, e): c for e, c in counts.items()})
+    return total * (MotiveClass.lpow(1) - 1) ** len(sup)
+
+
+def test_lattice_walk_stopping_at_order_zero_keeps_every_class():
+    rng = random.Random(4141)
+    geoms = [random_geometry(rng, max_m=4, max_exp=4) for _ in range(150)]
+    geoms.append(MonomialGeometry.make(40, [1] * 40, [0, 1] * 20, [1, 2, 40]))
+    for geom in geoms:
+        for i in range(9 if geom.m <= 4 else 3):
+            got, want = _lattice_sum(geom, i), _ref_lattice_sum(geom, i)
+            assert got == want and repr(got) == repr(want), (geom, i)
 
 
 def test_zeta_series_examples():

@@ -54,7 +54,13 @@ def _clear_all() -> None:
 
 def test_every_cache_is_a_bounded_lru_cache():
     caches = _caches()
-    for name in ("arcs._measure_levels", "motives._product", "oracles._dlog_table"):
+    for name in (
+        "arcs._measure_levels",
+        "motives._product",
+        "oracles._dlog_table",
+        "oracles._gauss_sum",
+        "oracles._psi_table",
+    ):
         assert f"motivint.{name}" in caches
     unbounded = [name for name, fn in caches.items() if fn.cache_info().maxsize is None]
     assert not unbounded

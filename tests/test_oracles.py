@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from motivint import oracles
 from motivint.invariants import gauss_jacobi_residue
 from motivint.oracles import (
     MAX_ENUMERATION_POINTS,
@@ -12,7 +14,9 @@ from motivint.oracles import (
     ResidueCharacter,
     _char_sum,
     _dlog_table,
+    _float_weights,
     _primitive_root,
+    _psi_sum,
     _value_buckets,
     additive_character,
     characters_mod,
@@ -104,6 +108,9 @@ def test_gauss_sum_examples():
     for k in (1, 2, 4, 5):
         chi = ResidueCharacter(3, 2, k)
         assert abs(abs(gauss_sum_numeric(PadicContext(3, 2), chi)) - 1.0) < TOL
+    # the discrete logs of p = 5 against the group order of p = 7 are no Gauss sum
+    with pytest.raises(ValueError):
+        gauss_sum_numeric(PadicContext(5, 1), ResidueCharacter(7, 1, 3))
 
 
 def test_jacobi_sum_examples():
@@ -276,3 +283,129 @@ def test_characters_mod_matches_reference():
     for p, levels in ((3, (1, 2, 3, 4)), (5, (1, 2, 3)), (7, (1, 2, 3)), (11, (1, 2))):
         for level in levels:
             assert characters_mod(p, level) == _ref_characters_mod(p, level)
+
+
+# ---------------------------------------------------------------------------
+# per-term references for the memoized Gauss sums and the tabled character
+# and Jacobi sums
+# ---------------------------------------------------------------------------
+#
+# The loops below are the oracles' sums before the Gauss sums were memoized,
+# the character sums listed once per conductor and the Jacobi sums read from
+# value tables: one term at a time, every exp evaluated in place.  The floats
+# must agree bit for bit, so repr (which tells -0.0 from 0.0) is compared.
+
+
+def _ref_gauss_sum(ctx, alpha):
+    p, c = ctx.p, alpha.conductor
+    mod = p**c
+    dlog = _dlog_table(p, c)
+    arg = 2j * math.pi * alpha.index
+    order = alpha.group_order
+    two_pi_i = 2j * math.pi
+    total = 0j
+    for v in range(1, mod):
+        if v % p == 0:
+            continue
+        total += cmath.exp(arg * dlog[v] / order) * cmath.exp(two_pi_i * v / mod)
+    return p ** (1 - c) * total
+
+
+def _ref_char_sum(weights, alpha, p, i):
+    pi_i = p**i
+    mod_c = p**alpha.conductor
+    dlog = _dlog_table(p, alpha.conductor)
+    arg = 2j * math.pi * alpha.index
+    order = alpha.group_order
+    total = 0j
+    for val, fw in weights.items():
+        if val % pi_i:
+            continue
+        unit = val // pi_i
+        if unit % p == 0:
+            continue
+        total += fw * cmath.exp(arg * dlog[unit % mod_c] / order)
+    return total
+
+
+def _ref_jacobi_sum(p, chi1, chi2):
+    dlog = _dlog_table(p, 1)
+    arg1 = 2j * math.pi * chi1.index
+    arg2 = 2j * math.pi * chi2.index
+    order = p - 1
+    total = 0j
+    for x in range(2, p):
+        total += cmath.exp(arg1 * dlog[x] / order) * cmath.exp(arg2 * dlog[(1 - x) % p] / order)
+    return total
+
+
+def _ref_decomposition(f, ctx, phi, i):
+    p = ctx.p
+    mod = p ** (i + 1)
+    weights = _float_weights(f, ctx, phi, mod)
+    lhs = _psi_sum(weights, mod)
+    rhs = complex(weights.get(0, 0.0))
+    for alpha in characters_mod(p, i + 1):
+        z = _ref_char_sum(weights, alpha, p, i - alpha.conductor + 1)
+        if z != 0:
+            rhs += _ref_gauss_sum(ctx, alpha.inverse()) * z / (p - 1)
+    return lhs, rhs
+
+
+def _ref_gauss_jacobi_residue(ctx):
+    p = ctx.p
+    chars = [ResidueCharacter(p, 1, k) for k in range(p - 1)]
+    gs = {c.index: _ref_gauss_sum(ctx, c) for c in chars}
+    worst = 0.0
+    pairs = 0
+    for c1 in chars:
+        if not c1.is_trivial():
+            worst = max(worst, abs(gs[c1.index] * gs[c1.inverse().index] - c1.value(p - 1) * p))
+        for c2 in chars:
+            prod = c1 * c2
+            if c1.is_trivial() or c2.is_trivial() or prod.is_trivial():
+                continue
+            j = _ref_jacobi_sum(p, c1, c2)
+            worst = max(worst, abs(gs[c1.index] * gs[c2.index] - j * gs[prod.index]))
+            worst = max(worst, abs(abs(j) - p**0.5))
+            pairs += 1
+    return pairs, worst
+
+
+def _clear_gauss_memos():
+    oracles._gauss_sum.cache_clear()
+    oracles._psi_table.cache_clear()
+
+
+def test_memoized_gauss_sums_match_the_per_term_loop_cold_warm_and_cleared():
+    for p, c in product((3, 5, 7), (1, 2, 3)):
+        ctx = PadicContext(p, c)
+        chars = characters_mod(p, c)
+        want = [repr(_ref_gauss_sum(ctx, alpha)) for alpha in chars]
+        _clear_gauss_memos()
+        cold = [repr(gauss_sum_numeric(ctx, alpha)) for alpha in chars]
+        warm = [repr(gauss_sum_numeric(ctx, alpha)) for alpha in chars]
+        assert oracles._gauss_sum.cache_info().hits >= len(chars)
+        _clear_gauss_memos()
+        cleared = [repr(gauss_sum_numeric(ctx, alpha)) for alpha in chars]
+        assert cold == warm == cleared == want, (p, c)
+
+
+DECOMPOSITION_REPORTS = (("x^2+y^3", 3, 3), ("x*y*z", 5, 1), ("x", 97, 0), ("3*x^2", 11, 1))
+
+
+def test_decomposition_matches_the_per_term_loops():
+    for poly, p, level in DECOMPOSITION_REPORTS:
+        f = parse_poly(poly)
+        m = max(f.nvars, 1)
+        ctx = PadicContext(p, level + 1)
+        for make_phi in (phi_one, phi_indicator_zero):
+            report = check_exp_decomposition(f, ctx, make_phi(p, m), level)
+            lhs, rhs = _ref_decomposition(f, ctx, make_phi(p, m), level)
+            assert (repr(report.lhs), repr(report.rhs)) == (repr(lhs), repr(rhs)), (poly, p)
+
+
+def test_jacobi_sums_from_value_tables_match_the_per_term_loop():
+    for p in (5, 13, 31):
+        ctx = PadicContext(p, 1)
+        assert repr(gauss_jacobi_residue(ctx)) == repr(_ref_gauss_jacobi_residue(ctx))
