@@ -14,13 +14,14 @@ assumes multiplicativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .characters import Character, characters_of_order_dividing
 from .gaussring import UElement
 from .motives import MotiveClass, MotiveFrac, fermat_torus_class
-from .series import RationalSeries, prefix_sums, rs_normalize
+from .series import RationalSeries, hadamard, prefix_sums, rs_normalize, twist
 
 
 class GeometryError(ValueError):
@@ -234,6 +235,38 @@ def measure_gt(geom: MonomialGeometry, i: int) -> MotiveFrac:
     return levels[i]
 
 
+# Work cap of ``measure --gt``, in the units of measure_gt_terms.  A unit
+# costs up to about 0.9 us at the shapes measured (2-core x86 VM, CPython
+# 3.11.7), so the cap is about 10 s.  At the largest admitted level: x^2 at
+# 307,692 8.7 s (x at 303,030: 8.8 s), x y with g = y^1000, W = {x = 0},
+# at 1343 8.8 s (with g = y^20: 8.0 s), x y z at 389 3.0 s and x1...x4 at
+# 121 3.3 s.  Past the cap, x y with g = x^3 y^4, W = {x = 0}, took 16 s at
+# 3144 and x1...x8 27 s at 30.
+MAX_LEVEL_TERMS = 10_000_000
+
+
+def measure_gt_terms(geom: MonomialGeometry, i: int) -> int:
+    """Work estimate of measure_gt(geom, i) with no level cached.
+
+    The lattice walks of the levels up to i visit at most C(i // n + s, s)
+    contact vectors, with s the size of the support of f and n its least
+    exponent.  Unless the rates (1 + g_j)/n_j agree over the support, the
+    vectors of a level carry distinct exponents, which its class and then the
+    running tail measure hold, so a visit counts 11 instead of 1.  Each level
+    counts 32 more.  The binomial stops once it passes MAX_LEVEL_TERMS.
+    """
+    sup = geom.support
+    rates = {Fraction(1 + geom.g_exponents[j], geom.f_exponents[j]) for j in sup}
+    weight = 1 if len(rates) == 1 else 11
+    steps = i // min(geom.f_exponents[j] for j in sup)
+    walks = 1
+    for t in range(1, len(sup) + 1):
+        walks = walks * (steps + t) // t  # C(steps + t, t)
+        if walks * weight > MAX_LEVEL_TERMS:
+            break
+    return walks * weight + 32 * i
+
+
 def measure_series(geom: MonomialGeometry) -> RationalSeries:
     """Generating series over i > 0 of measure_gt(geom, i).
 
@@ -332,6 +365,46 @@ def _ts_direct_strata(left: MonomialGeometry, right: MonomialGeometry, i: int) -
                     value = value + (seed * lm1).mul_lpow(-(i - k))
         out[alpha] = value
     return out
+
+
+def ts_direct_zeta_series(left: MonomialGeometry, right: MonomialGeometry) -> dict:
+    """Generating series over i > 0 of ts_direct_zeta, for every character at once.
+
+    The strata of _ts_direct_strata in closed form: Hadamard products of the
+    factors' zeta series with each other (equal orders) and with their measure
+    series (off-diagonal), and the trivial character's 1/L-geometric tail.
+    """
+    trivial = Character.trivial()
+    z_l, z_r = zeta_series(left, trivial), zeta_series(right, trivial)
+    zz = hadamard(z_l, z_r)
+    off_l = hadamard(z_l, _measure_from_zeta(right, z_r))
+    off_r = hadamard(z_r, _measure_from_zeta(left, z_l))
+    out = {}
+    for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
+        value = off_l if _passes(left, alpha) else RationalSeries.zero()
+        if _passes(right, alpha):
+            value = value + off_r
+        fsum = _diag_fermat_sum(left, right, alpha)
+        if fsum:
+            value = value + zz.scale(MotiveFrac(fsum, [(1, 0)]))
+        if alpha.is_trivial():
+            value = value + _diag_tail(left, right, zz)
+        out[alpha] = value
+    return out
+
+
+def _diag_tail(
+    left: MonomialGeometry, right: MonomialGeometry, zz: RationalSeries
+) -> RationalSeries:
+    """Sum over 0 < k < i of _diag_tail_seed(k) (L-1) L^{k-i} at T^i, given zz = Z_l * Z_r.
+
+    With S the seed series at L T, the sum is the prefix sums of S less S, taken
+    back at T / L.
+    """
+    fsum = _diag_fermat_sum(left, right, Character.trivial())
+    seed = zz - zz.scale(MotiveFrac(fsum, [(1, 0)]))
+    lifted = twist(seed, 1)
+    return twist(prefix_sums(lifted) - lifted, -1).scale(MotiveClass.lpow(1) - 1)
 
 
 def ts_direct_measure_gt(left: MonomialGeometry, right: MonomialGeometry, i: int) -> MotiveFrac:

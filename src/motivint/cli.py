@@ -13,11 +13,13 @@ import sys
 from functools import lru_cache
 
 from .arcs import (
+    MAX_LEVEL_TERMS,
     MAX_TS_TERMS,
     GeometryError,
     MonomialGeometry,
     exp_series,
     measure_gt,
+    measure_gt_terms,
     measure_series,
     ts_check,
     ts_check_terms,
@@ -45,7 +47,7 @@ from .oracles import (
     phi_one,
 )
 from .polyparse import PolyParseError, parse_poly
-from .series import exp_t
+from .series import MAX_WINDOW_TERMS, exp_t, window_terms
 from .spectra import (
     MAX_BRIESKORN_TERMS,
     GeometryPointError,
@@ -135,6 +137,10 @@ def cmd_zeta(args) -> int:
         lo, hi = args.window
         if lo > hi:
             raise CliError("window minimum exceeds maximum")
+        if window_terms(series, lo, hi) > MAX_WINDOW_TERMS:
+            raise CliError(
+                f"the zeta window exceeds the limit of {MAX_WINDOW_TERMS} work terms"
+            )
         coeffs = exp_t(series, lo, hi)
         payload["coefficients"] = [
             [i, motive_frac_to_json(c)] for i, c in zip(range(lo, hi + 1), coeffs)
@@ -164,6 +170,10 @@ def cmd_measure(args) -> int:
     if args.gt is not None:
         if args.gt < 0:
             raise CliError("--gt level must be nonnegative")
+        if measure_gt_terms(geom, args.gt) > MAX_LEVEL_TERMS:
+            raise CliError(
+                f"the tail measure exceeds the limit of {MAX_LEVEL_TERMS} work terms"
+            )
         payload["level"] = args.gt
         payload["measure_gt"] = motive_frac_to_json(measure_gt(geom, args.gt))
     else:

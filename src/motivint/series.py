@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor, gcd, lcm
+from math import ceil, comb, factorial, floor, gcd, lcm
 
 from .gaussring import UElement
 from .motives import (
@@ -528,6 +528,31 @@ def exp_t(series: RationalSeries, i_min: int, i_max: int) -> list:
     return [series.coefficient(i) for i in range(i_min, i_max + 1)]
 
 
+# Work cap of ``zeta --window``, in the units of window_terms.  A unit costs
+# up to about 0.8 us at the shapes measured with ``--display lpow`` (2-core
+# x86 VM, CPython 3.11.7), so the cap is about 10 s.  At the largest
+# admitted window: x^2 y^3 z^5 with g = y, 0..12902, 6.6 s (99 MB written),
+# x y^2 z^3 w^4 with g = x z, 0..5207, 7.9 s, x1...x16, 0..3047, 3.6 s and
+# x^2 y^3, 0..86955, 6.6 s.
+MAX_WINDOW_TERMS = 10_000_000
+
+
+def window_terms(series: RationalSeries, i_min: int, i_max: int) -> int:
+    """Work estimate of exp_t(series, i_min, i_max) on MotiveFrac coefficients,
+    and of writing them.
+
+    Each coefficient scans every term, counting 1/4 per term, and evaluates a
+    term of step d once in d: its k polynomial coefficients, each of at most
+    c numerator terms and denominator factors, count 12 k c / d.  A
+    coefficient counts 16 more.
+    """
+    hits = sum(
+        len(npoly) * max(len(c.num.terms) + len(c.den) for c in npoly) / d
+        for (_r, d, _a), npoly in series.terms.items()
+    )
+    return (i_max - i_min + 1) * (16 + len(series.terms) // 4 + ceil(12 * hits))
+
+
 class TwoSidedExpansion:
     """The image of a series under tau: arithmetic terms extended to all n in Z."""
 
@@ -611,57 +636,23 @@ def lambda_functional(series: RationalSeries):
 
 
 # ---------------------------------------------------------------------------
-# back-conversion and independent expansions (used for products and checks)
+# twists, prefix sums and independent expansions (the last used for checks)
 # ---------------------------------------------------------------------------
 
 
-def to_fraction(series: RationalSeries) -> tuple[dict, list]:
-    """Rewrite the canonical form as (num, den) with den a list of (a, b) factors."""
-    pieces: list[tuple[dict, tuple]] = []
-    if series.poly:
-        pieces.append((dict(series.poly), ()))
-    for (r, d, a), npoly in series.terms.items():
-        # n^j in the binomial basis: n^j = sum_t S(j,t) t! binom(n,t),
-        # and sum_n binom(n,t) X^n = X^t / (1-X)^{t+1} with X = L^a T^d.
-        by_t: dict = {}
-        for j, c in enumerate(npoly):
-            if not c:
-                continue
-            for t in range(j + 1):
-                w = _stirling2(j, t) * factorial(t)
-                if w:
-                    by_t[t] = by_t.get(t, 0) + c * w
-        for t, c in by_t.items():
-            if not c:
-                continue
-            num = {r + d * t: _shift(c, a * t)}
-            pieces.append((num, ((a, d),) * (t + 1)))
-    if not pieces:
-        return {}, []
-    den: tuple = ()
-    for (_num, fac) in pieces:
-        den = _multiset_union(den, fac)
-    total: dict = {}
-    for (numpart, fac) in pieces:
-        missing = _multiset_sub(den, fac)
-        lifted = numpart
-        for (a, b) in missing:
-            nxt: dict = {}
-            for i, c in lifted.items():
-                for key, v in ((i, c), (i + b, -_shift(c, a))):
-                    s = nxt.get(key, 0) + v
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            lifted = nxt
-        for i, c in lifted.items():
-            s = total.get(i, 0) + c
-            if s:
-                total[i] = s
-            else:
-                total.pop(i, None)
-    return total, list(den)
+def twist(series: RationalSeries, k: int) -> RationalSeries:
+    """The series at L^k T: coefficient i times L^{k i}.
+
+    A term (r, d, a) becomes (r, d, a + k d) with its polynomial times L^{k r};
+    distinct keys stay distinct and offsets stay below d, so it is canonical.
+    """
+    out = RationalSeries()
+    out.poly = {i: _shift(c, k * i) for i, c in series.poly.items()}
+    out.terms = {
+        (r, d, a + k * d): [_shift(c, k * r) for c in npoly]
+        for (r, d, a), npoly in series.terms.items()
+    }
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -895,21 +886,6 @@ def _staircase(items: list, d: int):
         elif count:
             return None
     return out
-
-
-def multiply(phi: RationalSeries, psi: RationalSeries) -> RationalSeries:
-    """Ordinary (Cauchy) product of two rational series."""
-    n1, d1 = to_fraction(phi)
-    n2, d2 = to_fraction(psi)
-    num: dict = {}
-    for i, c in n1.items():
-        for j, e in n2.items():
-            s = num.get(i + j, 0) + c * e
-            if s:
-                num[i + j] = s
-            else:
-                num.pop(i + j, None)
-    return rs_normalize(num, d1 + d2)
 
 
 def expand_fraction(num: dict, den: list, i_min: int, i_max: int) -> list:

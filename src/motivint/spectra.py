@@ -14,25 +14,11 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .arcs import (
-    MonomialGeometry,
-    _diag_fermat_sum,
-    _passes,
-    _zeta_fraction,
-    measure_series,
-    zeta_series,
-)
-from .characters import Character, characters_of_order_dividing, gamma
+from .arcs import MonomialGeometry, _passes, _zeta_fraction, ts_direct_zeta_series
+from .characters import Character, gamma
 from .gaussring import UElement, sg_decompose
 from .motives import MotiveClass, MotiveFrac
-from .series import (
-    RationalSeries,
-    hadamard,
-    lambda_functional,
-    lambda_of_fraction,
-    multiply,
-    rs_normalize,
-)
+from .series import lambda_functional, lambda_of_fraction
 
 
 class SpectrumPoly:
@@ -225,42 +211,16 @@ def brieskorn_oracle(exponents) -> SpectrumPoly:
 def sg_direct_product(left: MonomialGeometry, right: MonomialGeometry) -> UElement:
     """The Gauss-twisted sum of the product geometry via the direct stratum path.
 
-    Builds the character zeta series of f (+) f' in closed form from the
-    stratified decomposition (off-diagonal, equal-order Fermat classes, and
-     1/L-geometric tails), then extracts vanishing cycles; no product of
-    Gauss-ring elements is taken anywhere.
+    Extracts vanishing cycles from the closed-form character zeta series of
+    f (+) f' (arcs.ts_direct_zeta_series); no product of Gauss-ring elements
+    is taken anywhere.
     """
-    trivial = Character.trivial()
     m_total = left.m + right.m
-    z_l, z_r = zeta_series(left, trivial), zeta_series(right, trivial)
-    p_l, p_r = measure_series(left), measure_series(right)
-    zz = hadamard(z_l, z_r)
-    off_l, off_r = hadamard(z_l, p_r), hadamard(z_r, p_l)
-    lm1 = MotiveClass.lpow(1) - 1
-    # tails: seeds (equal-order totals minus their level part) times (L-1) L^{-1} T/(1 - L^{-1} T)
-    seed_series = zz - zz.scale(
-        MotiveFrac(_diag_fermat_sum(left, right, trivial), [(1, 0)])
-    )
-    tail = multiply(seed_series, rs_normalize({1: MotiveFrac(lm1).mul_lpow(-1)}, [(-1, 1)]))
-
-    orders = lcm(left.order_gcd, right.order_gcd)
-    gauss = {}
-    scalar = None
-    for alpha in characters_of_order_dividing(orders):
-        z_direct = RationalSeries.zero()
-        if _passes(left, alpha):
-            z_direct = z_direct + off_l
-        if _passes(right, alpha):
-            z_direct = z_direct + off_r
-        fsum = _diag_fermat_sum(left, right, alpha)
-        if fsum:
-            z_direct = z_direct + zz.scale(MotiveFrac(fsum, [(1, 0)]))
-        if alpha.is_trivial():
-            z_direct = z_direct + tail
+    scalar, gauss = 0, {}
+    for alpha, z_direct in ts_direct_zeta_series(left, right).items():
         value = -(lambda_functional(z_direct).mul_lpow(m_total).div_lpow_diff(1, 0))
         if alpha.is_trivial():
-            value = value - chi_c_w(left) * chi_c_w(right)
-            scalar = -value
+            scalar = -(value - chi_c_w(left) * chi_c_w(right))
         elif value:
             gauss[alpha.inverse()] = value
-    return UElement(scalar if scalar is not None else 0, gauss)
+    return UElement(scalar, gauss)

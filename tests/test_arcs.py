@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,14 +16,17 @@ from motivint.arcs import (
     measure_series,
     measure_total,
     ts_check,
+    _diag_tail,
+    _diag_tail_seed,
     ts_direct_exp_coefficient,
     ts_direct_zeta,
+    ts_direct_zeta_series,
     zeta_series,
 )
-from motivint.characters import Character
+from motivint.characters import Character, characters_of_order_dividing
 from motivint.gaussring import UElement
 from motivint.motives import MotiveClass, MotiveFrac
-from motivint.series import exp_t
+from motivint.series import exp_t, hadamard
 
 from helpers import ff_char_arc_sum, ff_total_measure, random_geometry
 
@@ -289,6 +293,34 @@ def test_ts_direct_zeta_character_kill():
         assert ts_direct_zeta(X2, Y3, fifth, i) == 0
 
 
+def test_ts_direct_zeta_series_matches_per_order_strata():
+    # the closed form against the per-order strata, which sum the tail one
+    # order at a time; every character of order dividing lcm(gcd f, gcd f')
+    rng = random.Random(1515)
+    pairs = [(random_geometry(rng, 2, 4), random_geometry(rng, 2, 4)) for _ in range(60)]
+    geoms = [g for pair in pairs for g in pair]
+    assert any(any(g.g_exponents) for g in geoms)
+    assert any(g.free_positions for g in geoms)
+    assert any(len(g.w_indices) < len(g.support) for g in geoms)
+    lm1 = L(1) - 1
+    for left, right in pairs:
+        closed = ts_direct_zeta_series(left, right)
+        orders = lcm(left.order_gcd, right.order_gcd)
+        assert list(closed) == characters_of_order_dividing(orders)
+        for alpha, series in closed.items():
+            for i in range(21):
+                assert series.coefficient(i) == ts_direct_zeta(left, right, alpha, i), (
+                    left, right, alpha, i,
+                )
+        zz = hadamard(zeta_series(left, TRIV), zeta_series(right, TRIV))
+        tail = _diag_tail(left, right, zz)
+        for i in range(25):
+            want = MotiveFrac.zero()
+            for k in range(1, i):
+                want = want + (_diag_tail_seed(left, right, k) * lm1).mul_lpow(k - i)
+            assert tail.coefficient(i) == want, (left, right, i)
+
+
 def test_ts_product_path_hand_values():
     for j in (1, 2, 3):
         even = exp_coefficient(X2, 2 * j) * exp_coefficient(X2, 2 * j)
@@ -327,8 +359,6 @@ def test_ts_check_rejects_bad_imax():
 def test_exp_series_hadamard_is_product_path():
     # the coefficientwise product of the exponential series, taken at the
     # series level over the Gauss-sum ring, reproduces the per-order products
-    from motivint.series import hadamard
-
     for left, right in [(X2, Y3), (X2, X2)]:
         h = hadamard(exp_series(left), exp_series(right))
         for i in range(0, 12):

@@ -1,11 +1,19 @@
 import json
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
-from motivint.arcs import MAX_TS_TERMS, MonomialGeometry, ts_check_terms
+from motivint.arcs import (
+    MAX_LEVEL_TERMS,
+    MAX_TS_TERMS,
+    MonomialGeometry,
+    measure_gt_terms,
+    ts_check_terms,
+    zeta_series,
+)
+from motivint.characters import Character
 from motivint.cli import build_parser, main
 from motivint.oracles import (
     MAX_CHARACTER_TERMS,
@@ -13,6 +21,7 @@ from motivint.oracles import (
     MAX_GAUSS_PRIME,
     check_character_sums,
 )
+from motivint.series import MAX_WINDOW_TERMS, window_terms
 from motivint.spectra import MAX_BRIESKORN_TERMS, brieskorn_terms
 
 X2 = {"ambient_dim": 1, "f_exponents": [2], "g_exponents": [0], "w_indices": [1]}
@@ -50,6 +59,98 @@ def test_zeta_window_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in payload
+
+
+def _geom_json(f, g=None, w=None):
+    m = len(f)
+    return {"ambient_dim": m, "f_exponents": f, "g_exponents": g or [0] * m,
+            "w_indices": w or list(range(1, m + 1))}
+
+
+def _assert_refused_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "exceeds the limit" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "geometry, lo, hi",
+    [
+        (_geom_json([2, 3, 5], [0, 1, 0]), "0", "20000"),
+        (X2, "0", "100000000"),
+        (X2, "-" + "9" * 40, "9" * 40),
+    ],
+    ids=["x2y3z5-g-y", "window-1e8", "window-1e40"],
+)
+def test_zeta_rejects_oversized_window(tmp_path, capsys, geometry, lo, hi):
+    # the first took 15 s and wrote 133 MB; the second printed nothing in 30 s
+    geom = write_geom(tmp_path, "g.json", geometry)
+    argv = ["zeta", "--geometry", geom, "--character", "0", "--window", lo, hi]
+    _assert_refused_at_once(argv, capsys)
+
+
+def test_window_limit_boundary():
+    # the golden files' window 0..6 and the benchmark's 1..8 on the dearest
+    # series of the criterion-7 shapes stay far below the cap
+    trivial = Character.trivial()
+    for f in ([2, 4], [4, 5, 6], [5, 6, 6], [2, 3, 5]):
+        for g in ([0] * len(f), [1, 2, 0][: len(f)]):
+            series = zeta_series(MonomialGeometry.make(len(f), f, g, [1]), trivial)
+            assert window_terms(series, 0, 8) < MAX_WINDOW_TERMS // 100
+    # the most coefficients admitted on x^2, and on x^2 y^3 z^5 with g = y
+    for f, g, largest in [([2], [0], 357142), ([2, 3, 5], [0, 1, 0], 12903)]:
+        series = zeta_series(MonomialGeometry.make(len(f), f, g, range(1, len(f) + 1)), trivial)
+        assert window_terms(series, 0, largest - 1) <= MAX_WINDOW_TERMS
+        assert window_terms(series, 0, largest) > MAX_WINDOW_TERMS
+
+
+@pytest.mark.parametrize(
+    "geometry, level",
+    [
+        (_geom_json([1] * 8), "30"),
+        (_geom_json([1, 1], [0, 20], [1]), "1500"),
+        (X2, "1000000000"),
+        (_geom_json([1] * 1200, None, [1]), "3"),
+        (X2, "1" + "0" * 100),
+    ],
+    ids=["x1-x8", "xy-g-y20", "x2-1e9", "x1-x1200", "x2-1e100"],
+)
+def test_measure_rejects_oversized_level(tmp_path, capsys, geometry, level):
+    # the first took 27 s and the second 10.5 s; the third would run for hours
+    geom = write_geom(tmp_path, "g.json", geometry)
+    _assert_refused_at_once(["measure", "--geometry", geom, "--gt", level], capsys)
+
+
+def test_level_limit_boundary():
+    def geom(f, g=None, w=None):
+        return MonomialGeometry.make(len(f), f, g, w or range(1, len(f) + 1))
+
+    # admitted: the deep level of x^2, order 1 on x1...x1200, the golden levels
+    # and the benchmark's levels 1..20 on every geometry with m <= 2
+    assert measure_gt_terms(geom([2]), 3000) <= MAX_LEVEL_TERMS
+    assert measure_gt_terms(geom([1] * 1200, None, [1]), 1) <= MAX_LEVEL_TERMS
+    assert measure_gt_terms(geom([2, 4], [1, 2]), 5) <= MAX_LEVEL_TERMS
+    wide_w = geom([1, 2, 1, 1, 1, 2, 0], [0, 1, 0, 0, 2, 0, 1], [1, 2, 3, 4, 5])
+    assert measure_gt_terms(wide_w, 4) <= MAX_LEVEL_TERMS
+    for f in product(range(1, 7), repeat=2):
+        for g in product(range(3), repeat=2):
+            assert measure_gt_terms(geom(list(f), list(g), [1]), 20) < MAX_LEVEL_TERMS // 100
+    # the largest admitted level of shapes measured against the cap
+    for shape, largest in [
+        (geom([2]), 307692),
+        (geom([2, 3]), 2683),
+        (geom([1, 1, 1]), 389),
+        (geom([1, 1], [3, 4], [1]), 1343),
+        (geom([1, 1], [0, 1000], [1]), 1343),
+        (geom([1] * 8), 23),
+        (geom([1] * 1200, None, [1]), 2),
+    ]:
+        assert measure_gt_terms(shape, largest) <= MAX_LEVEL_TERMS
+        assert measure_gt_terms(shape, largest + 1) > MAX_LEVEL_TERMS
 
 
 def test_spectrum_brieskorn(capsys):

@@ -13,11 +13,10 @@ from motivint.series import (
     hadamard,
     lambda_functional,
     lambda_of_fraction,
-    multiply,
     rs_normalize,
     _faulhaber,
     tau,
-    to_fraction,
+    twist,
 )
 
 from helpers import random_motive_frac
@@ -231,16 +230,6 @@ def test_equal_series_hash_alike():
     assert len({a, b}) == 1
 
 
-def test_to_fraction_round_trip():
-    rng = random.Random(333)
-    for _ in range(25):
-        num = {rng.randint(-2, 4): random_motive_frac(rng, 1) for _ in range(rng.randint(1, 2))}
-        den = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
-        s = rs_normalize(num, den)
-        n2, d2 = to_fraction(s)
-        assert rs_normalize(n2, d2) == s
-
-
 def test_prefix_sums_match_running_totals():
     rng = random.Random(616)
     from motivint.series import prefix_sums
@@ -264,12 +253,17 @@ def test_prefix_sums_reject_negative_support():
         prefix_sums(RationalSeries(poly={-1: 1}))
 
 
-def test_multiply_cauchy():
-    t_over = rs_normalize({1: 1}, [(0, 1)])
-    sq = multiply(t_over, t_over)
-    assert sq == rs_normalize({2: 1}, [(0, 1), (0, 1)])
-    zero = multiply(RationalSeries.zero(), t_over)
-    assert zero.is_zero()
+def test_twist_scales_coefficient_i_by_l_to_the_k_i():
+    rng = random.Random(1517)
+    for _ in range(30):
+        num = {rng.randint(-2, 4): random_motive_frac(rng, 1) for _ in range(rng.randint(1, 2))}
+        den = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        series = rs_normalize(num, den)
+        k = rng.randint(-3, 3)
+        twisted = twist(series, k)
+        for i in range(-4, 20):
+            assert twisted.coefficient(i) == series.coefficient(i).mul_lpow(k * i), (num, den, k, i)
+        assert twist(twisted, -k) == series
 
 
 def test_faulhaber_matches_power_sums():
