@@ -14,9 +14,8 @@ assumes multiplicativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .characters import Character, characters_of_order_dividing
 from .gaussring import UElement
@@ -235,38 +234,6 @@ def measure_gt(geom: MonomialGeometry, i: int) -> MotiveFrac:
     return levels[i]
 
 
-# Work cap of ``measure --gt``, in the units of measure_gt_terms.  A unit
-# costs up to about 0.9 us at the shapes measured (2-core x86 VM, CPython
-# 3.11.7), so the cap is about 10 s.  At the largest admitted level: x^2 at
-# 307,692 8.7 s (x at 303,030: 8.8 s), x y with g = y^1000, W = {x = 0},
-# at 1343 8.8 s (with g = y^20: 8.0 s), x y z at 389 3.0 s and x1...x4 at
-# 121 3.3 s.  Past the cap, x y with g = x^3 y^4, W = {x = 0}, took 16 s at
-# 3144 and x1...x8 27 s at 30.
-MAX_LEVEL_TERMS = 10_000_000
-
-
-def measure_gt_terms(geom: MonomialGeometry, i: int) -> int:
-    """Work estimate of measure_gt(geom, i) with no level cached.
-
-    The lattice walks of the levels up to i visit at most C(i // n + s, s)
-    contact vectors, with s the size of the support of f and n its least
-    exponent.  Unless the rates (1 + g_j)/n_j agree over the support, the
-    vectors of a level carry distinct exponents, which its class and then the
-    running tail measure hold, so a visit counts 11 instead of 1.  Each level
-    counts 32 more.  The binomial stops once it passes MAX_LEVEL_TERMS.
-    """
-    sup = geom.support
-    rates = {Fraction(1 + geom.g_exponents[j], geom.f_exponents[j]) for j in sup}
-    weight = 1 if len(rates) == 1 else 11
-    steps = i // min(geom.f_exponents[j] for j in sup)
-    walks = 1
-    for t in range(1, len(sup) + 1):
-        walks = walks * (steps + t) // t  # C(steps + t, t)
-        if walks * weight > MAX_LEVEL_TERMS:
-            break
-    return walks * weight + 32 * i
-
-
 def measure_series(geom: MonomialGeometry) -> RationalSeries:
     """Generating series over i > 0 of measure_gt(geom, i).
 
@@ -441,35 +408,6 @@ class TSReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-# Work cap of ``thom-sebastiani --imax``, in the units of ts_check_terms.  A
-# unit costs up to about 1 us at the dearest shapes measured (2-core x86 VM,
-# CPython 3.11.7): at the cap, x against y (imax 765) took 9.3 s, the twisted
-# xyz (g = x y^2 z^3) against x (imax 121) 8.9 s and the twisted xy
-# (g = x y^2) against itself (imax 293) 9.1 s, so the cap is about 10 s.
-# x^2 against y^3 (imax 761) took 2.0-2.9 s, and the 2-d twisted pair
-# f = x^2 y^4 (g = x y^2) against x^2 y^3 (imax 293) 3.1-4.4 s.
-MAX_TS_TERMS = 10_000_000
-
-
-def ts_check_terms(left: MonomialGeometry, right: MonomialGeometry, i_max: int) -> int:
-    """Work estimate of ts_check(left, right, i_max).
-
-    The trivial tail and the class products count 16 per order squared; the
-    estimate stops there once that passes MAX_TS_TERMS.  A factor whose f has
-    s coordinates visits about C(i_max + s + 1, s + 1) contact vectors in its
-    lattice walks up to order i_max.  Each order weighs its strata for every
-    character of order dividing lcm(gcd f, gcd f'), whose Fermat sums range
-    once over the left factor's characters: 32 per character and per order
-    or left character.
-    """
-    tail = 16 * i_max * i_max
-    if tail > MAX_TS_TERMS:
-        return tail
-    walks = sum(comb(i_max + s + 1, s + 1) for s in (len(left.support), len(right.support)))
-    characters = lcm(left.order_gcd, right.order_gcd)
-    return tail + walks + 32 * characters * (i_max + left.order_gcd)
 
 
 def ts_check(left: MonomialGeometry, right: MonomialGeometry, i_max: int) -> TSReport:

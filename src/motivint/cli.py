@@ -12,17 +12,14 @@ import re
 import sys
 from functools import lru_cache
 
+from . import limits
 from .arcs import (
-    MAX_LEVEL_TERMS,
-    MAX_TS_TERMS,
     GeometryError,
     MonomialGeometry,
     exp_series,
     measure_gt,
-    measure_gt_terms,
     measure_series,
     ts_check,
-    ts_check_terms,
     zeta_series,
 )
 from .characters import Character
@@ -36,27 +33,10 @@ from .jsonio import (
     uelement_to_json,
 )
 from .motives import MotiveFrac
-from .oracles import (
-    MAX_GAUSS_PRIME,
-    TOLERANCE,
-    PadicContext,
-    check_character_sums,
-    check_enumeration,
-    check_exp_decomposition,
-    phi_indicator_zero,
-    phi_one,
-)
+from .oracles import TOLERANCE, PadicContext, check_exp_decomposition, phi_indicator_zero, phi_one
 from .polyparse import PolyParseError, parse_poly
-from .series import MAX_WINDOW_TERMS, exp_t, window_terms
-from .spectra import (
-    MAX_BRIESKORN_TERMS,
-    GeometryPointError,
-    brieskorn_sg,
-    brieskorn_terms,
-    sg,
-    sp,
-    sp_from_sg,
-)
+from .series import exp_t
+from .spectra import brieskorn_sg, sg, sp, sp_from_sg
 
 _BRIESKORN = re.compile(r"brieskorn\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)$")
 
@@ -81,7 +61,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -95,8 +75,11 @@ def _load_geometry(path: str) -> MonomialGeometry:
 def _emit(payload, output: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -137,10 +120,7 @@ def cmd_zeta(args) -> int:
         lo, hi = args.window
         if lo > hi:
             raise CliError("window minimum exceeds maximum")
-        if window_terms(series, lo, hi) > MAX_WINDOW_TERMS:
-            raise CliError(
-                f"the zeta window exceeds the limit of {MAX_WINDOW_TERMS} work terms"
-            )
+        limits.check_window(series, lo, hi)
         coeffs = exp_t(series, lo, hi)
         payload["coefficients"] = [
             [i, motive_frac_to_json(c)] for i, c in zip(range(lo, hi + 1), coeffs)
@@ -170,10 +150,7 @@ def cmd_measure(args) -> int:
     if args.gt is not None:
         if args.gt < 0:
             raise CliError("--gt level must be nonnegative")
-        if measure_gt_terms(geom, args.gt) > MAX_LEVEL_TERMS:
-            raise CliError(
-                f"the tail measure exceeds the limit of {MAX_LEVEL_TERMS} work terms"
-            )
+        limits.check_measure_gt(geom, args.gt)
         payload["level"] = args.gt
         payload["measure_gt"] = motive_frac_to_json(measure_gt(geom, args.gt))
     else:
@@ -201,18 +178,12 @@ def cmd_spectrum(args) -> int:
             raise CliError(f"invalid brieskorn exponent: {exc}") from exc
         if any(a < 2 for a in exponents):
             raise CliError("brieskorn exponents must be >= 2")
-        if brieskorn_terms(exponents) > MAX_BRIESKORN_TERMS:
-            raise CliError(
-                f"the brieskorn spectrum exceeds the limit of {MAX_BRIESKORN_TERMS} work terms"
-            )
+        limits.check_brieskorn(exponents)
         spectrum = sp_from_sg(brieskorn_sg(exponents), len(exponents))
         echo: object = f"brieskorn({','.join(str(a) for a in exponents)})"
     else:
         geom = _load_geometry(args.geometry)
-        try:
-            spectrum = sp(geom)
-        except GeometryPointError as exc:
-            raise CliError(str(exc)) from exc
+        spectrum = sp(geom)  # a GeometryPointError is a GeometryError
         echo = geometry_to_json(geom)
     _emit({"geometry": echo, "spectrum": spectrum_to_json(spectrum)}, args.output)
     return 0
@@ -223,11 +194,7 @@ def cmd_thom_sebastiani(args) -> int:
     right = _load_geometry(args.right)
     if args.imax < 1:
         raise CliError("--imax must be >= 1")
-    if ts_check_terms(left, right, args.imax) > MAX_TS_TERMS:
-        raise CliError(
-            f"the Thom-Sebastiani check exceeds the limit of {MAX_TS_TERMS} work terms"
-        )
-
+    limits.check_ts(left, right, args.imax)
     report = ts_check(left, right, args.imax)
     coeffs = [
         {
@@ -258,14 +225,14 @@ def cmd_oracle_padic(args) -> int:
         raise CliError("--level must be nonnegative")
     precision = args.precision if args.precision is not None else args.level + 1
     m = max(f.nvars, 1)
+    limits.check_enumeration(args.prime, precision, m)
     try:
-        check_enumeration(args.prime, precision, m)
         ctx = PadicContext(args.prime, precision)
-        if precision < args.level + 1:
-            raise ValueError("--precision must be at least level + 1")
-        check_character_sums(ctx.p, args.level)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if precision < args.level + 1:
+        raise CliError("--precision must be at least level + 1")
+    limits.check_character_sums(ctx.p, args.level)
     phi = phi_one(ctx.p, m) if args.phi == "one" else phi_indicator_zero(ctx.p, m)
     report = check_exp_decomposition(f, ctx, phi, args.level)
     payload = {
@@ -285,10 +252,7 @@ def cmd_oracle_padic(args) -> int:
 
 def cmd_oracle_gauss(args) -> int:
     p = args.prime
-    if p > MAX_GAUSS_PRIME:
-        raise CliError(
-            f"the Gauss/Jacobi suite at p = {p} exceeds the limit of p <= {MAX_GAUSS_PRIME}"
-        )
+    limits.check_gauss_prime(p)
     try:
         ctx = PadicContext(p, 1)
     except ValueError as exc:
@@ -393,7 +357,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (CliError, GeometryError) as exc:
+    except (CliError, GeometryError, limits.WorkLimitError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -39,7 +39,7 @@ class MotiveClass:
             if c == 0:
                 continue
             p, q = _ex(p), _ex(q)
-            if Fraction(p + q).denominator != 1:
+            if (p + q).denominator != 1:  # ints and Fractions alike
                 raise ValueError(f"term u^{p} v^{q} has non-integral total weight")
             clean[(p, q)] = clean.get((p, q), 0) + c
         self.terms = {k: v for k, v in clean.items() if v != 0}

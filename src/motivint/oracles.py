@@ -18,64 +18,10 @@ from functools import lru_cache
 from itertools import product, repeat
 from math import pi
 
+from .limits import check_enumeration
 from .polyparse import IntPolynomial
 
 TOLERANCE = 1e-9
-
-# Work cap of the p-adic integrals: the largest number p^(N*m) of residue
-# vectors in (Z/p^N)^m that one integral enumerates.  Counting a point costs
-# about 0.4-0.5 us when N >= 2 and about 2.6 us at N = 1, where every point is
-# its own class mod p and Phi is called once per point (2-core x86 VM,
-# CPython 3.11.7), so the cap is about 2.5 s of counting.  The test suite goes
-# up to 531441 points and the benchmark stays below 20000.
-MAX_ENUMERATION_POINTS = 1_000_000
-
-# Work cap of the character sums of check_exp_decomposition at level i:
-# phi(p^(i+1)) characters, each summed over at most p^(i+1) value buckets
-# and paired with a Gauss sum of up to p^(i+1) terms, one exp per term in
-# either sum.  Cold, a term costs about 0.5-0.8 us (same machine; at level 0,
-# x at p = 2819, the largest admitted prime, took 4.9-6.0 s; x^2 at p = 53,
-# level 1, 7.7e6 terms, 3.8-4.1 s), so the cap is about 6 s.  The test suite
-# goes up to 354294 terms (p = 3, level 5) and the benchmark to 100842 (p = 7,
-# level 2).
-MAX_CHARACTER_TERMS = 8_000_000
-
-# Work cap of the finite-field Gauss/Jacobi suite (``oracle gauss``): the
-# largest prime p it runs at.  It checks about p^2 character pairs with an
-# O(p) Jacobi sum each, read from per-character value tables, so its time
-# grows as p^3: about 0.8 s at p = 167 (2-core x86 VM, CPython 3.11.7).  The
-# test suite and the benchmark use primes up to 19.
-MAX_GAUSS_PRIME = 167
-
-
-def check_enumeration(p: int, precision: int, m: int) -> None:
-    """Raise ValueError when p^(precision*m) exceeds MAX_ENUMERATION_POINTS.
-
-    Constant time: the exponent is bounded before any power is taken.
-    """
-    e = precision * m
-    if e > MAX_ENUMERATION_POINTS.bit_length() or p**e > MAX_ENUMERATION_POINTS:
-        raise ValueError(
-            f"enumerating {p}^({precision}*{m}) residue vectors exceeds the limit of "
-            f"{MAX_ENUMERATION_POINTS} points"
-        )
-
-
-def check_character_sums(p: int, level: int) -> None:
-    """Raise ValueError when phi(p^(level+1)) * p^(level+1) exceeds
-    MAX_CHARACTER_TERMS.
-
-    The value buckets hold f(x) mod p^(level+1), so there are at most
-    p^(level+1) of them; with precision >= level + 1 there are at least as
-    many points.  Constant time: the exponent is bounded before any power is
-    taken.
-    """
-    k = level + 1
-    if k > MAX_CHARACTER_TERMS.bit_length() or (p - 1) * p ** (2 * k - 1) > MAX_CHARACTER_TERMS:
-        raise ValueError(
-            f"summing the characters mod {p}^{k} over the value buckets exceeds the "
-            f"limit of {MAX_CHARACTER_TERMS} terms"
-        )
 
 
 def _is_prime(n: int) -> bool:

@@ -10,20 +10,10 @@ import re
 from math import log2
 from operator import add
 
+from . import limits
+
 _VARS = {"x": 0, "y": 1, "z": 2}
 _TOKEN = re.compile(r"\s*(\d+|[xyz]|\*\*|[-+*^()])")
-
-# Work cap of a power: the largest exponent, degree and coefficient bit length
-# that ``base ** n`` may produce.  Powers multiply one factor at a time, so an
-# unbounded exponent such as x^99999999 would run for hours before any other
-# limit is read.  A product is held to the same degree.
-MAX_POWER = 100
-
-# Work cap of a product: the largest number of monomial pairs that one
-# multiplication forms.  A pair costs about 0.7 us: the 8.6e6 pairs of
-# (x+y+z+1)^24 * (x+y+z+1)^24 took 5.6 s, and parsing that expression 7.6 s
-# (2-core x86 VM, CPython 3.11.7), so the cap is about 10 s.
-MAX_PRODUCT_PAIRS = 10_000_000
 
 
 class IntPolynomial:
@@ -75,16 +65,16 @@ class IntPolynomial:
         return max(map(sum, self.monomials), default=0)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        """self * other, refused with PolyParseError before any multiplication
-        when its degree exceeds MAX_POWER or it forms more than
-        MAX_PRODUCT_PAIRS monomial pairs."""
+        """self * other, refused with PolyLimitError before any multiplication
+        when its degree exceeds limits.MAX_POWER or it forms more than
+        limits.MAX_PRODUCT_PAIRS monomial pairs."""
         if (
-            self.degree() + other.degree() > MAX_POWER
-            or len(self.monomials) * len(other.monomials) > MAX_PRODUCT_PAIRS
+            self.degree() + other.degree() > limits.MAX_POWER
+            or len(self.monomials) * len(other.monomials) > limits.MAX_PRODUCT_PAIRS
         ):
-            raise PolyParseError(
-                f"product exceeds the limit of {MAX_POWER} on degree and "
-                f"{MAX_PRODUCT_PAIRS} on monomial pairs"
+            raise PolyLimitError(
+                f"product exceeds the limit of {limits.MAX_POWER} on degree and "
+                f"{limits.MAX_PRODUCT_PAIRS} on monomial pairs"
             )
         width = max(self.nvars, other.nvars)
         right = list(other._pad(width).items())
@@ -96,16 +86,17 @@ class IntPolynomial:
         return IntPolynomial(out, width)
 
     def __pow__(self, n: int) -> "IntPolynomial":
-        """self^n, refused with PolyParseError before any multiplication when n,
+        """self^n, refused with PolyLimitError before any multiplication when n,
         the degree n*deg(self) or the coefficient bound n*log2(sum |c|) exceeds
-        MAX_POWER."""
+        limits.MAX_POWER."""
         if n < 0:
             raise ValueError("negative exponent")
         degree = self.degree()
         size = sum(abs(c) for c in self.monomials.values())
-        if n > MAX_POWER or n * degree > MAX_POWER or (size > 1 and n * log2(size) > MAX_POWER):
-            raise PolyParseError(
-                f"power exceeds the limit of {MAX_POWER} on exponent, degree and coefficient bits"
+        cap = limits.MAX_POWER
+        if n > cap or n * degree > cap or (size > 1 and n * log2(size) > cap):
+            raise PolyLimitError(
+                f"power exceeds the limit of {cap} on exponent, degree and coefficient bits"
             )
         out = IntPolynomial.constant(1)
         for _ in range(n):
@@ -141,6 +132,10 @@ class IntPolynomial:
 
 class PolyParseError(ValueError):
     pass
+
+
+class PolyLimitError(PolyParseError, limits.WorkLimitError):
+    """A power or product past its work cap."""
 
 
 def _literal(tok: str) -> int:
@@ -225,7 +220,10 @@ def parse_poly(text: str) -> IntPolynomial:
             return -parse_base()
         raise PolyParseError(f"unexpected token {tok!r}")
 
-    out = parse_expr()
+    try:
+        out = parse_expr()
+    except RecursionError as exc:  # one frame per parenthesis or unary minus
+        raise PolyParseError("expression is nested too deeply") from exc
     if peek() is not None:
         raise PolyParseError(f"trailing tokens near {peek()!r}")
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor, gcd, lcm
+from math import comb, factorial, floor, gcd, lcm
 
 from .gaussring import UElement
 from .motives import (
@@ -528,31 +528,6 @@ def exp_t(series: RationalSeries, i_min: int, i_max: int) -> list:
     return [series.coefficient(i) for i in range(i_min, i_max + 1)]
 
 
-# Work cap of ``zeta --window``, in the units of window_terms.  A unit costs
-# up to about 0.8 us at the shapes measured with ``--display lpow`` (2-core
-# x86 VM, CPython 3.11.7), so the cap is about 10 s.  At the largest
-# admitted window: x^2 y^3 z^5 with g = y, 0..12902, 6.6 s (99 MB written),
-# x y^2 z^3 w^4 with g = x z, 0..5207, 7.9 s, x1...x16, 0..3047, 3.6 s and
-# x^2 y^3, 0..86955, 6.6 s.
-MAX_WINDOW_TERMS = 10_000_000
-
-
-def window_terms(series: RationalSeries, i_min: int, i_max: int) -> int:
-    """Work estimate of exp_t(series, i_min, i_max) on MotiveFrac coefficients,
-    and of writing them.
-
-    Each coefficient scans every term, counting 1/4 per term, and evaluates a
-    term of step d once in d: its k polynomial coefficients, each of at most
-    c numerator terms and denominator factors, count 12 k c / d.  A
-    coefficient counts 16 more.
-    """
-    hits = sum(
-        len(npoly) * max(len(c.num.terms) + len(c.den) for c in npoly) / d
-        for (_r, d, _a), npoly in series.terms.items()
-    )
-    return (i_max - i_min + 1) * (16 + len(series.terms) // 4 + ceil(12 * hits))
-
-
 class TwoSidedExpansion:
     """The image of a series under tau: arithmetic terms extended to all n in Z."""
 
@@ -570,9 +545,6 @@ class TwoSidedExpansion:
                 if v:
                     acc = acc + _shift(v, n * a)
         return _coerce(acc) if not isinstance(acc, (MotiveFrac, UElement)) else acc
-
-    def window(self, i_min: int, i_max: int) -> list:
-        return [self.coefficient(i) for i in range(i_min, i_max + 1)]
 
 
 def tau(series: RationalSeries) -> TwoSidedExpansion:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
-from .arcs import MonomialGeometry, _passes, _zeta_fraction, ts_direct_zeta_series
+from .arcs import GeometryError, MonomialGeometry, _passes, _zeta_fraction, ts_direct_zeta_series
 from .characters import Character, gamma
 from .gaussring import UElement, sg_decompose
 from .motives import MotiveClass, MotiveFrac
@@ -143,36 +142,6 @@ def sp(geom: MonomialGeometry) -> SpectrumPoly:
     return sp_from_sg(sg(geom), geom.m)
 
 
-# Work cap of ``spectrum --geometry brieskorn(...)``, in the units of
-# brieskorn_terms.  A unit costs at most about 60 us (2-core x86 VM, CPython
-# 3.11.7): at the cap, brieskorn(100000) took 5.8 s, brieskorn(2,49999)
-# 5.7 s and brieskorn(316,316) 6.0 s, so the cap is about 10 s.  The
-# benchmark's Brieskorn inputs (exponents 2-6, up to three variables) stay
-# below 240.
-MAX_BRIESKORN_TERMS = 100_000
-
-
-def brieskorn_terms(exponents) -> int:
-    """Work estimate of brieskorn_sg(exponents) and its spectrum.
-
-    The SG of x^a counts a.  The j-th product pairs each Gauss term so far,
-    at most min(prod(a_i - 1), lcm(a_i) - 1) of them, with the a_j - 1 terms
-    of the new factor, and each pair counts (j/2)^2.  The weight over-counts
-    many variables, since brieskorn_sg reduces its factors (3 x 2000 without
-    it: 14k units in about 4 s); it is kept so that the admitted inputs stay
-    those the tests pin.  The sum stops once it passes MAX_BRIESKORN_TERMS,
-    so it takes a few dozen steps at most.
-    """
-    total, count, order = 0, 0, 1
-    for j, a in enumerate(exponents, 1):
-        order = lcm(order, a)
-        total += a + count * (a - 1) * (j * j // 4)
-        count = min(count * (a - 1), order - 1) if count else a - 1
-        if total > MAX_BRIESKORN_TERMS:
-            break
-    return total
-
-
 def brieskorn_sg(exponents) -> UElement:
     """SG of sum_i x_i^{a_i} as the Gauss-ring product of the one-variable SGs.
 
@@ -188,7 +157,7 @@ def brieskorn_sg(exponents) -> UElement:
     return total
 
 
-class GeometryPointError(ValueError):
+class GeometryPointError(GeometryError):
     """Spectrum extraction asked for data that is not supported at the origin."""
 
 

@@ -5,24 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from motivint.arcs import (
-    MAX_LEVEL_TERMS,
-    MAX_TS_TERMS,
-    MonomialGeometry,
-    measure_gt_terms,
-    ts_check_terms,
-    zeta_series,
-)
+from motivint.arcs import MonomialGeometry, zeta_series
 from motivint.characters import Character
 from motivint.cli import build_parser, main
-from motivint.oracles import (
+from motivint.limits import (
+    MAX_BRIESKORN_TERMS,
     MAX_CHARACTER_TERMS,
     MAX_ENUMERATION_POINTS,
     MAX_GAUSS_PRIME,
+    MAX_WORK_TERMS,
+    brieskorn_terms,
     check_character_sums,
+    measure_gt_terms,
+    ts_check_terms,
+    window_terms,
 )
-from motivint.series import MAX_WINDOW_TERMS, window_terms
-from motivint.spectra import MAX_BRIESKORN_TERMS, brieskorn_terms
 
 X2 = {"ambient_dim": 1, "f_exponents": [2], "g_exponents": [0], "w_indices": [1]}
 Y3 = {"ambient_dim": 1, "f_exponents": [3], "g_exponents": [0], "w_indices": [1]}
@@ -100,12 +97,12 @@ def test_window_limit_boundary():
     for f in ([2, 4], [4, 5, 6], [5, 6, 6], [2, 3, 5]):
         for g in ([0] * len(f), [1, 2, 0][: len(f)]):
             series = zeta_series(MonomialGeometry.make(len(f), f, g, [1]), trivial)
-            assert window_terms(series, 0, 8) < MAX_WINDOW_TERMS // 100
+            assert window_terms(series, 0, 8) < MAX_WORK_TERMS // 100
     # the most coefficients admitted on x^2, and on x^2 y^3 z^5 with g = y
     for f, g, largest in [([2], [0], 357142), ([2, 3, 5], [0, 1, 0], 12903)]:
         series = zeta_series(MonomialGeometry.make(len(f), f, g, range(1, len(f) + 1)), trivial)
-        assert window_terms(series, 0, largest - 1) <= MAX_WINDOW_TERMS
-        assert window_terms(series, 0, largest) > MAX_WINDOW_TERMS
+        assert window_terms(series, 0, largest - 1) <= MAX_WORK_TERMS
+        assert window_terms(series, 0, largest) > MAX_WORK_TERMS
 
 
 @pytest.mark.parametrize(
@@ -131,14 +128,14 @@ def test_level_limit_boundary():
 
     # admitted: the deep level of x^2, order 1 on x1...x1200, the golden levels
     # and the benchmark's levels 1..20 on every geometry with m <= 2
-    assert measure_gt_terms(geom([2]), 3000) <= MAX_LEVEL_TERMS
-    assert measure_gt_terms(geom([1] * 1200, None, [1]), 1) <= MAX_LEVEL_TERMS
-    assert measure_gt_terms(geom([2, 4], [1, 2]), 5) <= MAX_LEVEL_TERMS
+    assert measure_gt_terms(geom([2]), 3000) <= MAX_WORK_TERMS
+    assert measure_gt_terms(geom([1] * 1200, None, [1]), 1) <= MAX_WORK_TERMS
+    assert measure_gt_terms(geom([2, 4], [1, 2]), 5) <= MAX_WORK_TERMS
     wide_w = geom([1, 2, 1, 1, 1, 2, 0], [0, 1, 0, 0, 2, 0, 1], [1, 2, 3, 4, 5])
-    assert measure_gt_terms(wide_w, 4) <= MAX_LEVEL_TERMS
+    assert measure_gt_terms(wide_w, 4) <= MAX_WORK_TERMS
     for f in product(range(1, 7), repeat=2):
         for g in product(range(3), repeat=2):
-            assert measure_gt_terms(geom(list(f), list(g), [1]), 20) < MAX_LEVEL_TERMS // 100
+            assert measure_gt_terms(geom(list(f), list(g), [1]), 20) < MAX_WORK_TERMS // 100
     # the largest admitted level of shapes measured against the cap
     for shape, largest in [
         (geom([2]), 307692),
@@ -149,8 +146,8 @@ def test_level_limit_boundary():
         (geom([1] * 8), 23),
         (geom([1] * 1200, None, [1]), 2),
     ]:
-        assert measure_gt_terms(shape, largest) <= MAX_LEVEL_TERMS
-        assert measure_gt_terms(shape, largest + 1) > MAX_LEVEL_TERMS
+        assert measure_gt_terms(shape, largest) <= MAX_WORK_TERMS
+        assert measure_gt_terms(shape, largest + 1) > MAX_WORK_TERMS
 
 
 def test_spectrum_brieskorn(capsys):
@@ -242,10 +239,10 @@ def test_thom_sebastiani_check(tmp_path, capsys):
 
 
 def _largest_admitted_imax(left, right) -> int:
-    lo, hi = 1, MAX_TS_TERMS
+    lo, hi = 1, MAX_WORK_TERMS
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if ts_check_terms(left, right, mid) <= MAX_TS_TERMS else (lo, mid - 1)
+        lo, hi = (mid, hi) if ts_check_terms(left, right, mid) <= MAX_WORK_TERMS else (lo, mid - 1)
     return lo
 
 
@@ -286,11 +283,11 @@ def test_ts_check_limit_boundary():
     ]:
         assert _largest_admitted_imax(left, right) == largest
     # many coordinates at a small order: the walks alone visit about C(51, 41)
-    assert ts_check_terms(geom([1] * 40, [0] * 40), x, 10) > MAX_TS_TERMS
+    assert ts_check_terms(geom([1] * 40, [0] * 40), x, 10) > MAX_WORK_TERMS
     # every one-variable pair of the benchmark at its 30 levels
     for a in range(1, 7):
         for b in range(1, 7):
-            assert ts_check_terms(geom([a], [2]), geom([b], [2]), 30) < MAX_TS_TERMS // 100
+            assert ts_check_terms(geom([a], [2]), geom([b], [2]), 30) < MAX_WORK_TERMS // 100
 
 
 def test_thom_sebastiani_largest_admitted_imax_completes(tmp_path, capsys):
@@ -397,6 +394,29 @@ def test_oracle_padic_rejects_huge_powers(capsys, poly):
     assert "exceeds the limit" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "poly", ["(" * 260 + "x" + ")" * 260, "x*" + "-" * 3000 + "x"], ids=["parens", "minus"]
+)
+def test_oracle_padic_rejects_deeply_nested_poly(capsys, poly):
+    # each parenthesis or unary minus is a parser frame; this once ended in a
+    # RecursionError traceback
+    code, payload = run_cli(
+        capsys, "oracle", "padic", f"--poly={poly}", "--prime", "3", "--level", "0"
+    )
+    assert code == 2
+    assert payload == {"error": "invalid polynomial: expression is nested too deeply"}
+
+
+def test_oracle_padic_nonpositive_enumeration_is_error(capsys):
+    # no residue vector to count: the prime is refused, not 0 ** -1 raised
+    code, payload = run_cli(
+        capsys, "oracle", "padic", "--poly", "x", "--prime", "0", "--level", "0",
+        "--precision", "-1",
+    )
+    assert code == 2
+    assert payload == {"error": "p must be an odd prime"}
+
+
 def test_oracle_padic_largest_admitted_input_completes(capsys):
     # 3^(6*2) = 531441 points; precision 7 would be 3^14 > MAX_ENUMERATION_POINTS
     assert 3**12 <= MAX_ENUMERATION_POINTS < 3**14
@@ -493,6 +513,27 @@ def test_non_integer_geometry_is_error(tmp_path, capsys, obj):
     code, payload = run_cli(capsys, "sg", "--geometry", geom)
     assert code == 2
     assert "must be integers" in payload["error"]
+
+
+def test_deeply_nested_geometry_is_error(tmp_path, capsys):
+    # json.load raises RecursionError past the interpreter's recursion limit
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"a":' * depth + "1" + "}" * depth, encoding="utf-8")
+    code, payload = run_cli(capsys, "sg", "--geometry", str(path))
+    assert code == 2
+    assert f"cannot read {path}: maximum recursion depth exceeded" in payload["error"]
+
+
+@pytest.mark.parametrize("target", [".", "missing/x.json"])
+def test_unwritable_output_is_error(tmp_path, capsys, target):
+    # a directory, and a file in a directory that does not exist
+    geom = write_geom(tmp_path, "y3.json", Y3)
+    out = tmp_path / target
+    code, payload = run_cli(capsys, "sg", "--geometry", geom, "--output", str(out))
+    assert code == 2
+    assert payload["error"].startswith(f"cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_output_deterministic(tmp_path, capsys):

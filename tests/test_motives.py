@@ -25,6 +25,18 @@ def test_term_weight_constraint():
     MotiveClass({(Fraction(1, 2), Fraction(1, 2)): 1})  # fine
 
 
+def test_term_weight_of_mixed_fractional_exponents():
+    # only the total weight p + q must be integral, whatever the exponents' types
+    with pytest.raises(ValueError, match="non-integral total weight"):
+        MotiveClass({(Fraction(1, 2), Fraction(1, 3)): 1})
+    third = MotiveClass({(Fraction(1, 3), Fraction(2, 3)): 1})
+    assert third.terms == {(Fraction(1, 3), Fraction(2, 3)): 1}
+    with pytest.raises(ValueError, match="non-integral total weight"):
+        MotiveClass({(1, Fraction(1, 2)): 1})
+    # integral exponents stay ints
+    assert [type(e) for e in next(iter(MotiveClass({(Fraction(4, 2), 3): 1}).terms))] == [int, int]
+
+
 def test_class_ring_laws():
     rng = random.Random(101)
     for _ in range(150):

@@ -8,8 +8,8 @@ import pytest
 
 from motivint import oracles
 from motivint.invariants import gauss_jacobi_residue
+from motivint.limits import MAX_ENUMERATION_POINTS, check_enumeration
 from motivint.oracles import (
-    MAX_ENUMERATION_POINTS,
     PadicContext,
     ResidueCharacter,
     _char_sum,
@@ -20,7 +20,6 @@ from motivint.oracles import (
     _value_buckets,
     additive_character,
     characters_mod,
-    check_enumeration,
     check_exp_decomposition,
     gauss_sum_numeric,
     jacobi_sum_numeric,

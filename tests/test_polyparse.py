@@ -2,14 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from motivint import polyparse
-from motivint.polyparse import (
-    MAX_POWER,
-    MAX_PRODUCT_PAIRS,
-    IntPolynomial,
-    PolyParseError,
-    parse_poly,
-)
+from motivint import limits
+from motivint.limits import MAX_POWER, MAX_PRODUCT_PAIRS
+from motivint.polyparse import IntPolynomial, PolyParseError, parse_poly
 
 
 def test_parse_basic():
@@ -42,6 +37,16 @@ def test_parse_errors():
     for bad in ["x^^", "x^-1", "(x", "x +", "w + 1", "x ^ y", huge, "x^" + huge]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+
+def test_deep_nesting_is_a_parse_error():
+    # one parser frame per parenthesis or unary minus; past the interpreter's
+    # recursion limit the input is refused instead of raising RecursionError
+    for bad in ["(" * 5000 + "x" + ")" * 5000, "x*" + "-" * 5000 + "x"]:
+        with pytest.raises(PolyParseError, match="nested too deeply"):
+            parse_poly(bad)
+    assert parse_poly("(" * 50 + "x" + ")" * 50).monomials == {(1,): 1}
+    assert parse_poly("x*" + "-" * 50 + "x").monomials == {(2,): 1}
 
 
 def test_eval_mod():
@@ -82,7 +87,7 @@ def test_product_cap(monkeypatch):
     assert len(a.monomials) ** 2 <= MAX_PRODUCT_PAIRS < len(b.monomials) ** 2
     with pytest.raises(PolyParseError, match="exceeds the limit"):
         b * b
-    monkeypatch.setattr(polyparse, "MAX_PRODUCT_PAIRS", 100)
+    monkeypatch.setattr(limits, "MAX_PRODUCT_PAIRS", 100)
     assert len(parse_poly("(x+y)^9*(x+y)^9").monomials) == 19  # 10 * 10 pairs
     with pytest.raises(PolyParseError, match="exceeds the limit"):
         parse_poly("(x+y)^10*(x+y)^9")
