@@ -14,10 +14,10 @@ assumes multiplicativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .characters import Character, characters_of_order_dividing
+from .characters import Character, _characters_of_order_dividing, characters_of_order_dividing
 from .gaussring import UElement
 from .motives import MotiveClass, MotiveFrac, fermat_torus_class
 from .series import RationalSeries, hadamard, prefix_sums, rs_normalize, twist
@@ -69,19 +69,27 @@ class MonomialGeometry:
         if not any(self.f_exponents):
             raise GeometryError("f must be nonconstant")
 
-    # -- derived data ---------------------------------------------------
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
+    # -- derived data, each computed once per geometry --------------------
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the four fields; geometries key every memo."""
+        return hash((self.m, self.f_exponents, self.g_exponents, self.w_indices))
+
+    @cached_property
     def support(self) -> tuple[int, ...]:
         """0-based positions with positive f-exponent."""
         return tuple(j for j, n in enumerate(self.f_exponents) if n >= 1)
 
-    @property
+    @cached_property
     def free_positions(self) -> tuple[int, ...]:
         """0-based positions with zero f-exponent (unconstrained contact order)."""
         return tuple(j for j, n in enumerate(self.f_exponents) if n == 0)
 
-    @property
+    @cached_property
     def order_gcd(self) -> int:
         return gcd(*self.f_exponents)
 
@@ -277,12 +285,24 @@ def exp_series(geom: MonomialGeometry) -> RationalSeries:
 
 @lru_cache(maxsize=_PER_COEFFICIENT)
 def _diag_fermat_sum(left: MonomialGeometry, right: MonomialGeometry, alpha: Character) -> MotiveClass:
-    """Sum of Fermat-torus classes over factorizations alpha = a1 * a2 meeting both sides."""
+    """Sum of Fermat-torus classes over factorizations alpha = a1 * a2 meeting both sides.
+
+    With g, g' the gcds of f, f' and h = gcd(g, g'), only alpha = t / lcm(g, g')
+    factors at all, and a1 = k/g leaves a2 = alpha * a1^-1 of order dividing g'
+    exactly when k g'/h = t modulo g/h: one residue class of k, walked upward.
+    """
+    g_left, g_right = left.order_gcd, right.order_gcd
+    h = gcd(g_left, g_right)
+    step, both = g_left // h, g_left * g_right // h
     total = MotiveClass.zero()
-    for a1 in characters_of_order_dividing(left.order_gcd):
+    if both % alpha.order:
+        return total
+    t = both // alpha.order * alpha._num
+    left_chars = _characters_of_order_dividing(g_left)
+    for k in range(t * pow(g_right // h, -1, step) % step, g_left, step):
+        a1 = left_chars[k]
         a2 = alpha * a1.inverse()
-        if _passes(right, a2):
-            total = total + fermat_torus_class(a1.inverse(), a2.inverse())
+        total = total + fermat_torus_class(a1.inverse(), a2.inverse())
     return total
 
 

@@ -61,13 +61,14 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or digits
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_geometry(path: str) -> MonomialGeometry:
+    obj = _load_json(path)  # its CliError already names the path
     try:
-        return geometry_from_json(_load_json(path))
+        return geometry_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid geometry in {path}: {exc}") from exc
 

@@ -1,12 +1,16 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from motivint.arcs import (
     GeometryError,
     MonomialGeometry,
+    _diag_fermat_sum,
     _lattice_sum,
     big_d,
     char_integral,
@@ -25,7 +29,7 @@ from motivint.arcs import (
 )
 from motivint.characters import Character, characters_of_order_dividing
 from motivint.gaussring import UElement
-from motivint.motives import MotiveClass, MotiveFrac
+from motivint.motives import MotiveClass, MotiveFrac, fermat_torus_class
 from motivint.series import exp_t, hadamard
 
 from helpers import ff_char_arc_sum, ff_total_measure, random_geometry
@@ -364,3 +368,70 @@ def test_exp_series_hadamard_is_product_path():
         for i in range(0, 12):
             want = exp_coefficient(left, i) * exp_coefficient(right, i) if i else UElement.zero()
             assert exp_t(h, i, i)[0] == want, (left, right, i)
+
+
+def _fields(geom):
+    return (geom.m, geom.f_exponents, geom.g_exponents, geom.w_indices)
+
+
+def test_geometry_hash_and_equality_follow_the_four_fields():
+    rng = random.Random(1717)
+    geoms = [random_geometry(rng, 3, 4) for _ in range(80)]
+    for geom in geoms:
+        hash(geom)  # the hash is cached before the copies are made
+        bumped = tuple(n + 1 for n in geom.g_exponents)
+        for other in (
+            geom,
+            copy.copy(geom),
+            pickle.loads(pickle.dumps(geom)),
+            dataclasses.replace(geom),
+            dataclasses.replace(geom, g_exponents=bumped),
+        ):
+            assert hash(other) == hash(_fields(other))
+            assert (other == geom) == (_fields(other) == _fields(geom))
+            assert other.order_gcd == gcd(*other.f_exponents)
+            assert other.support == tuple(j for j, n in enumerate(other.f_exponents) if n)
+    for a in geoms[:20]:
+        for b in geoms:
+            assert (a == b) == (_fields(a) == _fields(b))
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def _full_loop_fermat_sum(left, right, alpha):
+    """The Fermat sum over every character of order dividing gcd f, one try each."""
+    total = MotiveClass.zero()
+    for a1 in characters_of_order_dividing(left.order_gcd):
+        a2 = alpha * a1.inverse()
+        if right.order_gcd % a2.order == 0:
+            total = total + fermat_torus_class(a1.inverse(), a2.inverse())
+    return total
+
+
+def _twisted_with_gcd(rng, d):
+    m = rng.randint(1, 2)
+    f_exp = [d * rng.randint(1, 2) for _ in range(m)]
+    g_exp = [rng.randint(0, 2) for _ in range(m)]
+    g_exp[0] = max(g_exp[0], 1)
+    return MonomialGeometry.make(m, f_exp, g_exp, rng.sample(range(1, m + 1), rng.randint(1, m)))
+
+
+def test_diag_fermat_sum_walks_only_the_passing_coset():
+    pairs = [
+        (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]))
+        for a in range(1, 7)
+        for b in range(1, 7)
+        for cl, cr in [(0, 0), (1, 0), (0, 2), (2, 1)]
+    ]
+    rng = random.Random(1718)
+    pairs += [
+        (_twisted_with_gcd(rng, rng.randint(1, 8)), _twisted_with_gcd(rng, rng.randint(1, 8)))
+        for _ in range(40)
+    ]
+    assert sum(1 for left, right in pairs[-40:] if left.order_gcd > 1 and right.order_gcd > 1) > 20
+    for left, right in pairs:
+        # characters of order dividing 2 lcm(gcd f, gcd f') include ones that meet no side
+        for alpha in characters_of_order_dividing(2 * lcm(left.order_gcd, right.order_gcd)):
+            want = _full_loop_fermat_sum(left, right, alpha)
+            got = _diag_fermat_sum(left, right, alpha)
+            assert got == want and repr(got) == repr(want), (left, right, alpha)

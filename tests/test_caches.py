@@ -12,13 +12,16 @@ import pkgutil
 import motivint
 from motivint.arcs import (
     MonomialGeometry,
+    exp_coefficient,
     exp_series,
     measure_gt,
     measure_series,
     ts_check,
+    ts_direct_exp_coefficient,
     zeta_series,
 )
 from motivint.characters import Character
+from motivint.gaussring import u_mul
 from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
 from motivint.motives import MotiveFrac
 from motivint.series import rs_normalize
@@ -29,6 +32,7 @@ GEOMETRIES = [
     MonomialGeometry.make(2, [2, 3], None, [1, 2]),
     MonomialGeometry.make(2, [0, 4], [1, 0], [2]),
     MonomialGeometry.make(3, [2, 2, 4], [0, 1, 0], [1, 3]),
+    MonomialGeometry.make(2, [12, 24], None, [1, 2]),  # gcd f = 12
 ]
 X3 = MonomialGeometry.make(1, [3], None, [1])
 
@@ -56,6 +60,8 @@ def test_every_cache_is_a_bounded_lru_cache():
     caches = _caches()
     for name in (
         "arcs._measure_levels",
+        "characters._character",
+        "characters._characters_of_order_dividing",
         "motives._product",
         "oracles._dlog_table",
         "oracles._gauss_sum",
@@ -78,8 +84,9 @@ def _series_bytes(s, coeff_to_json=motive_frac_to_json) -> str:
 
 
 def _outputs(geom, between) -> list[str]:
-    """measure_gt at level 40, the measure and exponential series, SG and the
-    Thom-Sebastiani rows against x^3, as bytes, calling ``between`` after each."""
+    """measure_gt at level 40, the measure and exponential series, SG, the
+    Thom-Sebastiani rows against x^3 and both paths' coefficients of x^3
+    against it, as bytes, calling ``between`` after each."""
     stages = (
         lambda: json.dumps(motive_frac_to_json(measure_gt(geom, 40))),
         lambda: _series_bytes(measure_series(geom)),
@@ -88,6 +95,13 @@ def _outputs(geom, between) -> list[str]:
         lambda: json.dumps([
             [i, uelement_to_json(product), uelement_to_json(direct), equal]
             for i, product, direct, equal in ts_check(geom, X3, 8).rows
+        ]),
+        lambda: json.dumps([
+            uelement_to_json(ts_direct_exp_coefficient(X3, geom, i)) for i in (1, 5, 9)
+        ]),
+        lambda: json.dumps([
+            uelement_to_json(u_mul(exp_coefficient(X3, i), exp_coefficient(geom, i)))
+            for i in (1, 5, 9)
         ]),
     )
     out = []

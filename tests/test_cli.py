@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import time
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -525,7 +527,39 @@ def test_deeply_nested_geometry_is_error(tmp_path, capsys):
     assert f"cannot read {path}: maximum recursion depth exceeded" in payload["error"]
 
 
-@pytest.mark.parametrize("target", [".", "missing/x.json"])
+@pytest.mark.parametrize("command", [["zeta", "--character", "0"], ["sg"], ["measure"]])
+def test_unreadable_geometry_has_one_prefix(tmp_path, capsys, command):
+    path = tmp_path / "no" / "such.json"
+    code, payload = run_cli(capsys, *command, "--geometry", str(path))
+    assert code == 2
+    assert payload["error"].startswith(f"cannot read {path}: [Errno 2] ")
+    assert payload["error"].count("cannot read") == 1
+    assert "invalid geometry" not in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff", b'{"ambient_dim": ' + b"7" * 5000 + b"}"],
+    ids=["not-utf8", "too-many-digits"],
+)
+def test_undecodable_geometry_is_error(tmp_path, capsys, content):
+    # json.load raises plain ValueErrors here: UnicodeDecodeError, and the
+    # interpreter's limit on the digits of an int literal
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, payload = run_cli(capsys, "sg", "--geometry", str(path))
+    assert code == 2
+    assert payload["error"].startswith(f"cannot read {path}: ")
+
+
+def test_undecodable_stdin_geometry_is_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    code, payload = run_cli(capsys, "sg", "--geometry", "-")
+    assert code == 2
+    assert payload["error"].startswith("cannot read -: ")
+
+
+@pytest.mark.parametrize("target",[".", "missing/x.json"])
 def test_unwritable_output_is_error(tmp_path, capsys, target):
     # a directory, and a file in a directory that does not exist
     geom = write_geom(tmp_path, "y3.json", Y3)
