@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .characters import Character, _characters_of_order_dividing, characters_of_order_dividing
-from .gaussring import UElement
+from .gaussring import UElement, from_characters
 from .motives import MotiveClass, MotiveFrac, fermat_torus_class
 from .series import RationalSeries, hadamard, prefix_sums, rs_normalize, twist
 
@@ -108,12 +108,12 @@ def _passes(geom: MonomialGeometry, alpha: Character) -> bool:
     return geom.order_gcd % alpha.order == 0
 
 
-# Memo bounds.  Entries keyed by a geometry alone (its free factor, zeta
-# fraction and measure levels) are read again within one request or one run
-# of levels i = 1, 2, ..., so a few dozen geometries are enough.  Entries
-# keyed by a pair of geometries or a contact order are read again by the
-# higher levels of the same Thom-Sebastiani pair, and 1 << 15 holds those of
-# the pairs checked last.
+# Memo bounds.  Entries keyed by a geometry (its free factor, zeta fraction
+# and measure levels) or by a pair of them (its tail levels) are read again
+# within one request or one run of levels i = 1, 2, ..., so a few dozen are
+# enough.  Entries keyed by a contact order or a character are read again by
+# the higher levels of the same Thom-Sebastiani pair, and 1 << 15 holds those
+# of the pairs checked last.
 _PER_GEOMETRY = 64
 _PER_COEFFICIENT = 1 << 15
 
@@ -257,21 +257,22 @@ def _measure_from_zeta(geom: MonomialGeometry, zeta: RationalSeries) -> Rational
     return prefix_sums(RationalSeries(poly={1: measure_total(geom)}) - zeta)
 
 
+def _exp_element(measure: MotiveFrac, integrals: dict) -> UElement:
+    """Equality (1.2.2) at one order: the measure of ord f > i plus
+    sum_alpha G_{alpha^{-1}} Z_alpha(i)/(L-1), from alpha -> Z_alpha(i)."""
+    return from_characters({a: z.div_lpow_diff(1, 0) for a, z in integrals.items()}, measure)
+
+
 def exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
-    """Coefficient of the exponential series: measure part plus Gauss-twisted characters."""
+    """Coefficient of the exponential series; every character of geom shares one integral."""
     base = char_integral(geom, Character.trivial(), i)
-    scaled = base.div_lpow_diff(1, 0)
-    gauss = {}
-    for alpha in geom.characters():
-        if not alpha.is_trivial():
-            gauss[alpha.inverse()] = scaled
-    return UElement(measure_gt(geom, i) - scaled, gauss)
+    return _exp_element(measure_gt(geom, i), dict.fromkeys(geom.characters(), base))
 
 
 def exp_series(geom: MonomialGeometry) -> RationalSeries:
     """Closed form over the Gauss-sum ring of the exponential coefficients, i > 0."""
-    twist = UElement(-1, {alpha.inverse(): 1 for alpha in geom.characters() if not alpha.is_trivial()})
-    twist = twist.div_lpow_diff(1, 0)
+    # (1.2.2) with every integral 1, applied to the zeta series' coefficients
+    twist = _exp_element(MotiveFrac.zero(), dict.fromkeys(geom.characters(), MotiveFrac.one()))
     zeta = zeta_series(geom, Character.trivial())
     z_u = zeta.map_coefficients(lambda c: twist * c)
     p_u = _measure_from_zeta(geom, zeta).map_coefficients(UElement)
@@ -306,7 +307,6 @@ def _diag_fermat_sum(left: MonomialGeometry, right: MonomialGeometry, alpha: Cha
     return total
 
 
-@lru_cache(maxsize=_PER_COEFFICIENT)
 def _diag_tail_seed(left: MonomialGeometry, right: MonomialGeometry, k: int) -> MotiveFrac:
     """Total of the equal-order-k stratum over ord (f+f') > k; vanishing cancellation tail."""
     trivial = Character.trivial()
@@ -315,29 +315,43 @@ def _diag_tail_seed(left: MonomialGeometry, right: MonomialGeometry, k: int) -> 
     return prod - (prod * fsum).div_lpow_diff(1, 0) if fsum else prod
 
 
+@lru_cache(maxsize=_PER_GEOMETRY)
+def _diag_tail_levels(left: MonomialGeometry, right: MonomialGeometry) -> list[MotiveFrac]:
+    """[V_0, V_1, ...] with V_0 = 0 and V_i = V_{i-1} L^{-1} + _diag_tail_seed(i),
+    the sum over 0 < k <= i of seed_k L^{k-i}; grown by _ts_direct_strata."""
+    return [MotiveFrac.zero()]
+
+
 def ts_direct_zeta(
     left: MonomialGeometry, right: MonomialGeometry, alpha: Character, i: int
 ) -> MotiveFrac:
     """Character integral of the sum geometry at order i (see _ts_direct_strata)."""
-    return _ts_direct_strata(left, right, i).get(alpha, MotiveFrac.zero())
+    return _ts_direct_strata(left, right, i)[1].get(alpha, MotiveFrac.zero())
 
 
-def _ts_direct_strata(left: MonomialGeometry, right: MonomialGeometry, i: int) -> dict:
-    """Character integrals of the sum geometry at order i, stratified by factor orders.
+def _ts_direct_strata(
+    left: MonomialGeometry, right: MonomialGeometry, i: int
+) -> tuple[MotiveFrac, dict]:
+    """Measure of ord (f+f') > i and the character integrals at order i, by factor orders.
 
     The strata are formed once: off-diagonal ones carry the leading coefficient
     of the smaller-order factor, the equal-order-i one the product of both.
     Each character of order dividing lcm(gcd f, gcd f') weighs them by whether
     it passes each factor and by its Fermat-torus class sum; equal orders below
     i contribute only for the trivial character, through a geometric tail with
-    ratio 1/L.  Every other character integrates to zero.
+    ratio 1/L read off the pair's running sums V.  Every other character
+    integrates to zero.
     """
     if i < 0:
         raise GeometryError("contact order must be nonnegative")
+    levels = _diag_tail_levels(left, right)
+    while len(levels) <= i:
+        levels.append(levels[-1].mul_lpow(-1) + _diag_tail_seed(left, right, len(levels)))
     trivial = Character.trivial()
+    m_left, m_right = measure_gt(left, i), measure_gt(right, i)
     c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
-    off_left, off_right = c_left * measure_gt(right, i), c_right * measure_gt(left, i)
-    prod, zero, lm1 = c_left * c_right, MotiveFrac.zero(), MotiveClass.lpow(1) - 1
+    off_left, off_right = c_left * m_right, c_right * m_left
+    prod, zero = c_left * c_right, MotiveFrac.zero()
     out = {}
     for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
         value = off_left if _passes(left, alpha) else zero
@@ -345,13 +359,10 @@ def _ts_direct_strata(left: MonomialGeometry, right: MonomialGeometry, i: int) -
         fsum = _diag_fermat_sum(left, right, alpha)
         if fsum:
             value = value + (prod * fsum).div_lpow_diff(1, 0)
-        if alpha.is_trivial():
-            for k in range(1, i):
-                seed = _diag_tail_seed(left, right, k)
-                if seed:
-                    value = value + (seed * lm1).mul_lpow(-(i - k))
+        if alpha.is_trivial() and i:
+            value = value + levels[i - 1].mul_lpow(-1) * (MotiveClass.lpow(1) - 1)
         out[alpha] = value
-    return out
+    return m_left * m_right + levels[i], out
 
 
 def ts_direct_zeta_series(left: MonomialGeometry, right: MonomialGeometry) -> dict:
@@ -394,25 +405,11 @@ def _diag_tail(
     return twist(prefix_sums(lifted) - lifted, -1).scale(MotiveClass.lpow(1) - 1)
 
 
-def ts_direct_measure_gt(left: MonomialGeometry, right: MonomialGeometry, i: int) -> MotiveFrac:
-    """Measure of arcs from the product base with ord (f+f') > i, computed directly."""
-    out = measure_gt(left, i) * measure_gt(right, i)
-    for k in range(1, i + 1):
-        seed = _diag_tail_seed(left, right, k)
-        if seed:
-            out = out + seed.mul_lpow(-(i - k))
-    return out
-
-
 def ts_direct_exp_coefficient(
     left: MonomialGeometry, right: MonomialGeometry, i: int
 ) -> UElement:
     """Exponential coefficient of the sum geometry assembled from direct strata."""
-    strata = _ts_direct_strata(left, right, i)
-    scalar = ts_direct_measure_gt(left, right, i)
-    scalar = scalar - strata.pop(Character.trivial()).div_lpow_diff(1, 0)
-    gauss = {alpha.inverse(): c.div_lpow_diff(1, 0) for alpha, c in strata.items() if c}
-    return UElement(scalar, gauss)
+    return _exp_element(*_ts_direct_strata(left, right, i))
 
 
 @dataclass

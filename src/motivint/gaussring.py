@@ -53,9 +53,7 @@ class UElement:
     @staticmethod
     def from_gauss(alpha: Character, coeff=1) -> "UElement":
         """coeff * G_alpha; for trivial alpha this is the scalar -coeff."""
-        if alpha.is_trivial():
-            return UElement(_coeff(coeff) * (-1))
-        return UElement(0, {alpha: coeff})
+        return from_characters({alpha.inverse(): coeff})
 
     # -- module structure -------------------------------------------------
 
@@ -176,6 +174,18 @@ def hodge_realize_u(x: UElement) -> MotiveFrac:
         g = gamma(alpha)
         out = out + c * MotiveClass.h(1 - g, g, -1)
     return out
+
+
+def from_characters(coeffs: dict, scalar=0) -> UElement:
+    """scalar + sum_alpha G_{alpha^{-1}} c_alpha, the inverse of sg_decompose.
+
+    The trivial basis element is -1, so c_1 is subtracted from the scalar.
+    """
+    gauss = dict(coeffs)
+    trivial = gauss.pop(Character.trivial(), None)
+    if trivial is not None:  # a zero scalar gives the same bytes with no addition
+        scalar = scalar - trivial if scalar else -trivial
+    return UElement(scalar, {alpha.inverse(): c for alpha, c in gauss.items()})
 
 
 def sg_decompose(x: UElement) -> dict[Character, MotiveFrac]:

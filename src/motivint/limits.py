@@ -9,7 +9,7 @@ by attribute, so this module imports nothing from the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, inf, lcm
+from math import ceil, comb, gcd, inf, lcm
 
 
 class WorkLimitError(ValueError):
@@ -30,7 +30,13 @@ class WorkLimitError(ValueError):
 # - imax (1 us): x against y (765) 9.3 s, the twisted xyz (g = x y^2 z^3)
 #   against x (121) 8.9 s, the twisted xy (g = x y^2) against itself (293)
 #   9.1 s, x^2 against y^3 (761) 2.0-2.9 s and f = x^2 y^4 (g = x y^2)
-#   against x^2 y^3 (293) 3.1-4.4 s.
+#   against x^2 y^3 (293) 3.1-4.4 s while the direct path re-summed its
+#   tail at every order.  With the tail kept as running sums per pair they
+#   take 0.15, 0.6, 1.6, 0.2 and 0.3 s, so the 16 imax^2 of ts_check_terms
+#   now overcharges; it is kept so that the admitted --imax stay those the
+#   tests pin.  At --imax 1, x^120 against y^119 (14,280 characters, 913,942
+#   units) took 0.5-0.9 s; past the cap, x^500 against y^499 (249,500
+#   characters, 15,968,022 units) took 18 s and 264 MiB.
 MAX_WORK_TERMS = 10_000_000
 
 # Work cap of ``spectrum --geometry brieskorn(...)``, in the units of
@@ -70,6 +76,15 @@ MAX_GAUSS_PRIME = 167
 # factor at a time, so an unbounded exponent such as x^99999999 would run for
 # hours before any other limit is read.  A product is held to the same degree.
 MAX_POWER = 100
+
+# Nesting cap of a polynomial expression: the most parentheses and unary
+# minus signs open at once.  The parser takes four interpreter frames per
+# parenthesis and one per unary minus, so the cap needs at most about 400 of
+# the default 1000 frames and leaves the rest to the caller.  Without it the
+# depth admitted was whatever the caller's stack left: about 246 parentheses
+# from ``python -m motivint.cli``, fewer under pytest.  The benchmark's oracle
+# inputs nest at most one deep (a negative coefficient after a plus sign).
+MAX_NESTING = 100
 
 # Work cap of a polynomial product: the largest number of monomial pairs that
 # one multiplication forms.  A pair costs about 0.7 us: the 8.6e6 pairs of
@@ -119,20 +134,21 @@ def measure_gt_terms(geom, i: int) -> int:
 def ts_check_terms(left, right, i_max: int) -> int:
     """Work estimate of ts_check(left, right, i_max).
 
-    The trivial tail and the class products count 16 per order squared; the
-    estimate stops there once that passes MAX_WORK_TERMS.  A factor whose f
-    has s coordinates visits about C(i_max + s + 1, s + 1) contact vectors in
-    its lattice walks up to order i_max.  Each order weighs its strata for
+    The class products count 16 per order squared, an overcharge now that
+    the trivial tail is linear (see MAX_WORK_TERMS); the estimate stops there
+    once that passes MAX_WORK_TERMS.  A factor whose f has s coordinates
+    visits about C(i_max + s + 1, s + 1) contact vectors in its lattice
+    walks up to order i_max.  Each order weighs its strata for
     every character of order dividing lcm(gcd f, gcd f'), whose Fermat sums
-    range once over the left factor's characters: 32 per character and per
-    order or left character.
+    try once each left character of the one coset that can pass, that is
+    gcd(gcd f, gcd f') of them: 32 per character and per order or try.
     """
     tail = 16 * i_max * i_max
     if tail > MAX_WORK_TERMS:
         return tail
     walks = sum(comb(i_max + s + 1, s + 1) for s in (len(left.support), len(right.support)))
     characters = lcm(left.order_gcd, right.order_gcd)
-    return tail + walks + 32 * characters * (i_max + left.order_gcd)
+    return tail + walks + 32 * characters * (i_max + gcd(left.order_gcd, right.order_gcd))
 
 
 def brieskorn_terms(exponents) -> int:

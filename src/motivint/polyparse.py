@@ -204,25 +204,32 @@ def parse_poly(text: str) -> IntPolynomial:
         return base
 
     def parse_base() -> IntPolynomial:
+        nonlocal depth
         tok = take()
         if tok is None:
             raise PolyParseError("unexpected end of expression")
-        if tok == "(":
-            inner = parse_expr()
-            if take() != ")":
-                raise PolyParseError("missing closing parenthesis")
+        if tok in ("(", "-"):  # open until its operand is parsed
+            depth += 1
+            if depth > limits.MAX_NESTING:
+                raise PolyParseError("expression is nested too deeply")
+            if tok == "-":
+                inner = -parse_base()
+            else:
+                inner = parse_expr()
+                if take() != ")":
+                    raise PolyParseError("missing closing parenthesis")
+            depth -= 1
             return inner
         if tok in _VARS:
             return IntPolynomial.variable(_VARS[tok])
         if tok.isdigit():
             return IntPolynomial.constant(_literal(tok))
-        if tok == "-":
-            return -parse_base()
         raise PolyParseError(f"unexpected token {tok!r}")
 
+    depth = 0
     try:
         out = parse_expr()
-    except RecursionError as exc:  # one frame per parenthesis or unary minus
+    except RecursionError as exc:  # four frames per parenthesis, one per unary minus
         raise PolyParseError("expression is nested too deeply") from exc
     if peek() is not None:
         raise PolyParseError(f"trailing tokens near {peek()!r}")

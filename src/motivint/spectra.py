@@ -15,7 +15,7 @@ from itertools import product
 
 from .arcs import GeometryError, MonomialGeometry, _passes, _zeta_fraction, ts_direct_zeta_series
 from .characters import Character, gamma
-from .gaussring import UElement, sg_decompose
+from .gaussring import UElement, from_characters, sg_decompose
 from .motives import MotiveClass, MotiveFrac
 from .series import lambda_functional, lambda_of_fraction
 
@@ -101,8 +101,9 @@ def sg(geom: MonomialGeometry) -> UElement:
     Every character of the geometry meets f, so all share one s_psi.
     """
     psi = _psi_class(geom)
-    gauss = {alpha.inverse(): psi for alpha in geom.characters() if not alpha.is_trivial()}
-    return UElement(-(psi - chi_c_w(geom)), gauss)
+    phi = dict.fromkeys(geom.characters(), psi)
+    phi[Character.trivial()] = psi - chi_c_w(geom)
+    return from_characters(phi)
 
 
 def sp_from_sg(element: UElement, m: int) -> SpectrumPoly:
@@ -185,11 +186,9 @@ def sg_direct_product(left: MonomialGeometry, right: MonomialGeometry) -> UEleme
     is taken anywhere.
     """
     m_total = left.m + right.m
-    scalar, gauss = 0, {}
-    for alpha, z_direct in ts_direct_zeta_series(left, right).items():
-        value = -(lambda_functional(z_direct).mul_lpow(m_total).div_lpow_diff(1, 0))
-        if alpha.is_trivial():
-            scalar = -(value - chi_c_w(left) * chi_c_w(right))
-        elif value:
-            gauss[alpha.inverse()] = value
-    return UElement(scalar, gauss)
+    phi = {
+        alpha: -(lambda_functional(z_direct).mul_lpow(m_total).div_lpow_diff(1, 0))
+        for alpha, z_direct in ts_direct_zeta_series(left, right).items()
+    }
+    phi[Character.trivial()] = phi[Character.trivial()] - chi_c_w(left) * chi_c_w(right)
+    return from_characters(phi)

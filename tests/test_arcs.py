@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import json
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from motivint.arcs import (
     MonomialGeometry,
     _diag_fermat_sum,
     _lattice_sum,
+    _passes,
+    _ts_direct_strata,
     big_d,
     char_integral,
     exp_coefficient,
@@ -29,6 +34,7 @@ from motivint.arcs import (
 )
 from motivint.characters import Character, characters_of_order_dividing
 from motivint.gaussring import UElement
+from motivint.jsonio import motive_frac_to_json, uelement_to_json
 from motivint.motives import MotiveClass, MotiveFrac, fermat_torus_class
 from motivint.series import exp_t, hadamard
 
@@ -435,3 +441,126 @@ def test_diag_fermat_sum_walks_only_the_passing_coset():
             want = _full_loop_fermat_sum(left, right, alpha)
             got = _diag_fermat_sum(left, right, alpha)
             assert got == want and repr(got) == repr(want), (left, right, alpha)
+
+
+# -- the direct path as it was while it re-summed its tail at every order ------
+# Kept verbatim, renamed, as the byte reference of the running tail sums and of
+# the one Gauss-ring encoder.
+
+
+def _ref_exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
+    """Coefficient of the exponential series: measure part plus Gauss-twisted characters."""
+    base = char_integral(geom, Character.trivial(), i)
+    scaled = base.div_lpow_diff(1, 0)
+    gauss = {}
+    for alpha in geom.characters():
+        if not alpha.is_trivial():
+            gauss[alpha.inverse()] = scaled
+    return UElement(measure_gt(geom, i) - scaled, gauss)
+
+
+@lru_cache(maxsize=1 << 15)
+def _ref_diag_tail_seed(left: MonomialGeometry, right: MonomialGeometry, k: int) -> MotiveFrac:
+    """Total of the equal-order-k stratum over ord (f+f') > k; vanishing cancellation tail."""
+    trivial = Character.trivial()
+    prod = char_integral(left, trivial, k) * char_integral(right, trivial, k)
+    fsum = _diag_fermat_sum(left, right, trivial)
+    return prod - (prod * fsum).div_lpow_diff(1, 0) if fsum else prod
+
+
+def _ref_ts_direct_strata(left: MonomialGeometry, right: MonomialGeometry, i: int) -> dict:
+    """Character integrals of the sum geometry at order i, stratified by factor orders."""
+    if i < 0:
+        raise GeometryError("contact order must be nonnegative")
+    trivial = Character.trivial()
+    c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
+    off_left, off_right = c_left * measure_gt(right, i), c_right * measure_gt(left, i)
+    prod, zero, lm1 = c_left * c_right, MotiveFrac.zero(), MotiveClass.lpow(1) - 1
+    out = {}
+    for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
+        value = off_left if _passes(left, alpha) else zero
+        value = value + (off_right if _passes(right, alpha) else zero)
+        fsum = _diag_fermat_sum(left, right, alpha)
+        if fsum:
+            value = value + (prod * fsum).div_lpow_diff(1, 0)
+        if alpha.is_trivial():
+            for k in range(1, i):
+                seed = _ref_diag_tail_seed(left, right, k)
+                if seed:
+                    value = value + (seed * lm1).mul_lpow(-(i - k))
+        out[alpha] = value
+    return out
+
+
+def _ref_ts_direct_measure_gt(left: MonomialGeometry, right: MonomialGeometry, i: int) -> MotiveFrac:
+    """Measure of arcs from the product base with ord (f+f') > i, computed directly."""
+    out = measure_gt(left, i) * measure_gt(right, i)
+    for k in range(1, i + 1):
+        seed = _ref_diag_tail_seed(left, right, k)
+        if seed:
+            out = out + seed.mul_lpow(-(i - k))
+    return out
+
+
+def _ref_ts_direct_exp_coefficient(
+    left: MonomialGeometry, right: MonomialGeometry, i: int
+) -> UElement:
+    """Exponential coefficient of the sum geometry assembled from direct strata."""
+    strata = _ref_ts_direct_strata(left, right, i)
+    scalar = _ref_ts_direct_measure_gt(left, right, i)
+    scalar = scalar - strata.pop(Character.trivial()).div_lpow_diff(1, 0)
+    gauss = {alpha.inverse(): c.div_lpow_diff(1, 0) for alpha, c in strata.items() if c}
+    return UElement(scalar, gauss)
+
+
+def _direct_bytes(left, right, i, strata, ts_exp_coefficient) -> str:
+    measure, integrals = strata(left, right, i)
+    return json.dumps([
+        motive_frac_to_json(measure),
+        [[str(a), motive_frac_to_json(z)] for a, z in integrals.items()],
+        uelement_to_json(ts_exp_coefficient(left, right, i)),
+    ])
+
+
+def _ref_strata(left, right, i):
+    return _ref_ts_direct_measure_gt(left, right, i), _ref_ts_direct_strata(left, right, i)
+
+
+def test_direct_path_keeps_the_bytes_of_the_per_order_tail_sums(monkeypatch):
+    # the criterion-6 pairs and the benchmark's 2-d pairs up to order 30,
+    # pairs with free coordinates up to 15 and twisted pairs up to 7
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from benchlib.inputs import ts_pairs
+
+    line = [
+        (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]), 30)
+        for a in range(1, 7)
+        for b in range(1, 7)
+        for cl, cr in [(0, 0), (1, 0), (0, 2), (2, 1)]
+    ]
+    two_d = [(left, right, 30) for left, right in ts_pairs()[-4:]]
+    assert all(left.m == 2 for left, _right, _i in two_d)
+    rng = random.Random(1919)
+    free = []
+    while len(free) < 12:
+        left, right = random_geometry(rng, 3, 3), random_geometry(rng, 2, 3)
+        if left.free_positions or right.free_positions:
+            free.append((left, right, 15))
+    twisted = [
+        (_twisted_with_gcd(rng, rng.randint(1, 3)), _twisted_with_gcd(rng, rng.randint(1, 3)), 7)
+        for _ in range(12)
+    ]
+    cases = line + two_d + free + twisted
+    for left, right, i_max in cases:
+        for i in range(i_max + 1):
+            got = _direct_bytes(left, right, i, _ts_direct_strata, ts_direct_exp_coefficient)
+            want = _direct_bytes(left, right, i, _ref_strata, _ref_ts_direct_exp_coefficient)
+            assert got == want, (left, right, i)
+    orders = {}
+    for left, right, i_max in cases:
+        for geom in (left, right):
+            orders[geom] = max(orders.get(geom, 0), i_max)
+    for geom, i_max in orders.items():
+        for i in range(i_max + 1):
+            got, want = exp_coefficient(geom, i), _ref_exp_coefficient(geom, i)
+            assert json.dumps(uelement_to_json(got)) == json.dumps(uelement_to_json(want))

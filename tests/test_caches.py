@@ -59,6 +59,7 @@ def _clear_all() -> None:
 def test_every_cache_is_a_bounded_lru_cache():
     caches = _caches()
     for name in (
+        "arcs._diag_tail_levels",
         "arcs._measure_levels",
         "characters._character",
         "characters._characters_of_order_dividing",
@@ -74,7 +75,7 @@ def test_every_cache_is_a_bounded_lru_cache():
         f"{module.__name__}.{name}"
         for module in _modules()
         for name, obj in vars(module).items()
-        if isinstance(obj, dict) and (name.endswith("_cache") or name == "_measure_levels")
+        if isinstance(obj, (dict, list)) and name.endswith(("_cache", "_levels"))
     ]
     assert not dict_caches
 
@@ -120,6 +121,7 @@ def test_clearing_every_cache_part_way_keeps_every_byte():
     for geom in GEOMETRIES:
         _clear_all()
         measure_gt(geom, 20)  # levels half grown when they are dropped
+        ts_direct_exp_coefficient(X3, geom, 4)  # and the pair's tail levels
         _clear_all()
         after.append(_outputs(geom, _clear_all))
     assert after == before

@@ -250,12 +250,12 @@ def _largest_admitted_imax(left, right) -> int:
 
 @pytest.mark.parametrize(
     "left, right, imax",
-    [(X2, Y3, "100000"), ({**X2, "f_exponents": [120]}, {**Y3, "f_exponents": [119]}, "1")],
-    ids=["imax-100000", "14280-characters"],
+    [(X2, Y3, "100000"), ({**X2, "f_exponents": [500]}, {**Y3, "f_exponents": [499]}, "1")],
+    ids=["imax-100000", "249500-characters"],
 )
 def test_thom_sebastiani_rejects_oversized_work(tmp_path, capsys, left, right, imax):
     # refused before any coefficient is built; the first printed nothing in
-    # 15 s, the second (its Fermat sums alone) ran for 33 s
+    # 15 s, and ts_check on the second takes 18 s and 264 MiB
     argv = ["thom-sebastiani", "--left", write_geom(tmp_path, "l.json", left),
             "--right", write_geom(tmp_path, "r.json", right), "--imax", imax]
     t0 = time.perf_counter()
@@ -265,6 +265,20 @@ def test_thom_sebastiani_rejects_oversized_work(tmp_path, capsys, left, right, i
     assert code == 2
     assert out.count("\n") == 1
     assert "exceeds the limit" in json.loads(out)["error"]
+
+
+def test_thom_sebastiani_14280_characters_is_admitted_and_completes(tmp_path, capsys):
+    # the Fermat sums try one coset of gcd(gcd f, gcd f') = 1 left character
+    # per character, so the 14280 characters of x^120 against y^119 are cheap
+    left = write_geom(tmp_path, "l.json", {**X2, "f_exponents": [120]})
+    right = write_geom(tmp_path, "r.json", {**Y3, "f_exponents": [119]})
+    t0 = time.perf_counter()
+    code, payload = run_cli(
+        capsys, "thom-sebastiani", "--left", left, "--right", right, "--check", "--imax", "1"
+    )
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert payload["pass"] is True
 
 
 def test_ts_check_limit_boundary():

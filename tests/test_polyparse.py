@@ -1,9 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from motivint import limits
-from motivint.limits import MAX_POWER, MAX_PRODUCT_PAIRS
+from motivint.limits import MAX_NESTING, MAX_POWER, MAX_PRODUCT_PAIRS
 from motivint.polyparse import IntPolynomial, PolyParseError, parse_poly
 
 
@@ -40,13 +44,73 @@ def test_parse_errors():
 
 
 def test_deep_nesting_is_a_parse_error():
-    # one parser frame per parenthesis or unary minus; past the interpreter's
-    # recursion limit the input is refused instead of raising RecursionError
+    # far past limits.MAX_NESTING the input is refused instead of raising
+    # RecursionError
     for bad in ["(" * 5000 + "x" + ")" * 5000, "x*" + "-" * 5000 + "x"]:
         with pytest.raises(PolyParseError, match="nested too deeply"):
             parse_poly(bad)
     assert parse_poly("(" * 50 + "x" + ")" * 50).monomials == {(1,): 1}
     assert parse_poly("x*" + "-" * 50 + "x").monomials == {(2,): 1}
+
+
+def _nested(depth: int, kind: str) -> tuple[str, dict]:
+    """x nested ``depth`` levels deep in parentheses, unary minus signs, or
+    both alternating, and its monomials."""
+    if kind == "parentheses":
+        return "(" * depth + "x" + ")" * depth, {(1,): 1}
+    if kind == "minus":
+        return "x*" + "-" * depth + "x", {(2,): (-1) ** depth}
+    half, odd = divmod(depth, 2)
+    return "x*" + "-(x*" * half + "-" * odd + "x" + ")" * half, {(half + 2,): (-1) ** (half + odd)}
+
+
+def _with_frames(frames: int, fn):
+    """fn() called from ``frames`` extra interpreter frames."""
+    return fn() if frames == 0 else _with_frames(frames - 1, fn)
+
+
+NESTING_KINDS = ["parentheses", "minus", "mixed"]
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+@pytest.mark.parametrize("frames", [0, 300])
+def test_nesting_cap(kind, frames):
+    # the parentheses and unary minus signs open at once are counted, so the
+    # cap is the same whatever the caller's stack
+    text, want = _nested(MAX_NESTING, kind)
+    assert _with_frames(frames, lambda: parse_poly(text)).monomials == want
+    text, _want = _nested(MAX_NESTING + 1, kind)
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        _with_frames(frames, lambda: parse_poly(text))
+
+
+def test_deep_nesting_past_the_stack_is_still_a_parse_error():
+    # a caller with less stack left than the cap needs gets the same refusal
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(depth + 100)
+        with pytest.raises(PolyParseError, match="nested too deeply"):
+            parse_poly(_nested(MAX_NESTING, "parentheses")[0])
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_nesting_cap_from_the_command_line(kind):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for depth, code in [(MAX_NESTING, 0), (MAX_NESTING + 1, 2)]:
+        argv = ["oracle", "padic", "--poly", _nested(depth, kind)[0], "--prime", "3", "--level", "0"]
+        done = subprocess.run(
+            [sys.executable, "-m", "motivint.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == code, done.stderr
+        if code:
+            assert json.loads(done.stdout) == {
+                "error": "invalid polynomial: expression is nested too deeply"
+            }
 
 
 def test_eval_mod():
