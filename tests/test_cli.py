@@ -838,3 +838,35 @@ def test_oracle_golden_bytes(tmp_path, capsys, name, argv):
     out = tmp_path / "out.json"
     assert main(["oracle", *argv, "--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeta", "--geometry", "{x2}", "--character", "1/0"], "invalid character '1/0'"),
+        (["measure", "--geometry", "{x2}", "--gt", "-1"], "--gt level must be nonnegative"),
+        (["spectrum", "--geometry", "brieskorn(1,3)"], "brieskorn exponents must be >= 2"),
+        (
+            ["thom-sebastiani", "--left", "{x2}", "--right", "{x2}", "--imax", "0"],
+            "--imax must be >= 1",
+        ),
+        (
+            ["oracle", "padic", "--poly", "x", "--prime", "3", "--level", "-1"],
+            "--level must be nonnegative",
+        ),
+        (
+            ["oracle", "padic", "--poly", "x", "--prime", "3", "--level", "2", "--precision", "2"],
+            "--precision must be at least level + 1",
+        ),
+        (["oracle", "gauss", "--prime", "4"], "p must be an odd prime"),
+    ],
+    ids=["character", "gt", "brieskorn", "imax", "level", "precision", "gauss-prime"],
+)
+def test_refusal_branches_print_one_error_line(tmp_path, capsys, argv, message):
+    geom = write_geom(tmp_path, "x2.json", X2)
+    assert main([a.replace("{x2}", geom) for a in argv]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert list(payload) == ["error"]
+    assert payload["error"].startswith(message)
