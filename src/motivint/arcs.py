@@ -344,21 +344,29 @@ def _ts_direct_strata(
     """
     if i < 0:
         raise GeometryError("contact order must be nonnegative")
-    levels = _diag_tail_levels(left, right)
-    while len(levels) <= i:
-        levels.append(levels[-1].mul_lpow(-1) + _diag_tail_seed(left, right, len(levels)))
     trivial = Character.trivial()
     m_left, m_right = measure_gt(left, i), measure_gt(right, i)
     c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
     off_left, off_right = c_left * m_right, c_right * m_left
     prod, zero = c_left * c_right, MotiveFrac.zero()
-    out = {}
-    for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
-        value = off_left if _passes(left, alpha) else zero
-        value = value + (off_right if _passes(right, alpha) else zero)
+    characters = characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd))
+    diag = {}  # alpha -> prod * (its Fermat sum)/(L - 1), where that sum is nonzero
+    for alpha in characters:
         fsum = _diag_fermat_sum(left, right, alpha)
         if fsum:
-            value = value + (prod * fsum).div_lpow_diff(1, 0)
+            diag[alpha] = (prod * fsum).div_lpow_diff(1, 0)
+    levels = _diag_tail_levels(left, right)
+    while len(levels) < i:
+        levels.append(levels[-1].mul_lpow(-1) + _diag_tail_seed(left, right, len(levels)))
+    if len(levels) == i:  # _diag_tail_seed(i), from this order's products
+        seed = prod - diag[trivial] if trivial in diag else prod
+        levels.append(levels[-1].mul_lpow(-1) + seed)
+    out = {}
+    for alpha in characters:
+        value = off_left if _passes(left, alpha) else zero
+        value = value + (off_right if _passes(right, alpha) else zero)
+        if alpha in diag:
+            value = value + diag[alpha]
         if alpha.is_trivial() and i:
             value = value + levels[i - 1].mul_lpow(-1) * (MotiveClass.lpow(1) - 1)
         out[alpha] = value
