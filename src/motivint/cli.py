@@ -94,8 +94,9 @@ def _parse_character(text: str) -> Character:
 
 def _pretty_frac(x: MotiveFrac) -> str:
     bits = []
-    for (p, q) in sorted(x.num.terms):
-        c = x.num.terms[(p, q)]
+    terms = x.num.terms
+    for (p, q) in sorted(terms):
+        c = terms[(p, q)]
         if p == q and p.denominator == 1:
             mono = f"L^{p}" if p else ""
         else:

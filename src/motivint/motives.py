@@ -2,6 +2,8 @@
 
 A ``MotiveClass`` is a finite sum of monomials c * u^p v^q with rational
 exponents subject to p + q being an integer; the Lefschetz class L is uv.
+Integer classes in L, nearly all the arithmetic, are packed into one int
+(see below); every other class is a map from (p, q) to coefficient.
 ``MotiveFrac`` localizes at the multiplicative family of differences
 L^a - L^b (a != b), which covers every geometric-series denominator the
 integral and series machinery produces.  Equality of fractions is decided
@@ -10,6 +12,7 @@ by cross-multiplication; no gcd cancellation is attempted.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -27,10 +30,37 @@ def _ex(x):
     return f.numerator if f.denominator == 1 else f
 
 
-class MotiveClass:
-    """Finite map (p, q) -> rational coefficient, with p + q an integer per term."""
+# A class whose terms are all c L^k with int k and int c, |c| < 2^62, is kept
+# packed (Kronecker substitution): as its value v at L = 2^64, whose signed
+# 64-bit digits are the coefficients, with lo the exponent of the lowest
+# nonzero term, and a bound on |c| carried through the arithmetic: a sum
+# adds the bounds, a product multiplies them by the smaller digit count.
+# Every other class keeps its term map.  An operation whose bound would
+# reach 2^62, or that meets a term map, runs on term maps, and _class puts
+# its result back in canonical form: the form follows from the value alone,
+# so equal classes have equal forms, and zero is always packed (v = 0).
+_DIGIT = 64
+_LOW = (1 << _DIGIT) - 1
+_LIMIT = 1 << 62
+_HALF = 1 << 63
+_HALF_WORD = _HALF.to_bytes(8, "little")
 
-    __slots__ = ("terms",)
+
+def _digits(v: int) -> list:
+    """The signed 64-bit digits of a nonzero packed value, lowest first."""
+    n = v.bit_length() // _DIGIT + 1  # the top digit is below 2^62 in size
+    # adding 2^63 to every digit leaves them in [0, 2^64), so nothing carries
+    biased = v + int.from_bytes(_HALF_WORD * n, "little")
+    return [d - _HALF for d in memoryview(biased.to_bytes(8 * n, sys.byteorder)).cast("Q")]
+
+
+class MotiveClass:
+    """Finite map (p, q) -> rational coefficient, with p + q an integer per term.
+
+    ``terms`` is that map; a packed class builds it on each read.
+    """
+
+    __slots__ = ("v", "lo", "bound", "_terms")
 
     def __init__(self, terms):
         clean = {}
@@ -42,17 +72,35 @@ class MotiveClass:
             if (p + q).denominator != 1:  # ints and Fractions alike
                 raise ValueError(f"term u^{p} v^{q} has non-integral total weight")
             clean[(p, q)] = clean.get((p, q), 0) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+        canon = _class({k: v for k, v in clean.items() if v != 0})
+        if canon.v is None:
+            self.v, self._terms = None, canon._terms
+        else:
+            self.v, self.lo, self.bound = canon.v, canon.lo, canon.bound
+
+    @property
+    def terms(self) -> dict:
+        v = self.v
+        if v is None:
+            return self._terms
+        out = {}
+        if v:
+            k = self.lo
+            for c in _digits(v):
+                if c:
+                    out[k, k] = c
+                k += 1
+        return out
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "MotiveClass":
-        return _class({})
+        return _packed(0, 0, 0)
 
     @staticmethod
     def one() -> "MotiveClass":
-        return _class({(0, 0): 1})
+        return _packed(1, 0, 1)
 
     @staticmethod
     def from_scalar(c) -> "MotiveClass":
@@ -62,7 +110,7 @@ class MotiveClass:
     @staticmethod
     def lpow(k: int = 1) -> "MotiveClass":
         """L^k = (uv)^k."""
-        return _class({(k, k): 1})
+        return _packed(1, k, 1) if type(k) is int else _class({(k, k): 1})
 
     @staticmethod
     def h(p, q, c=1) -> "MotiveClass":
@@ -76,6 +124,26 @@ class MotiveClass:
             other = _as_class(other)
             if other is NotImplemented:
                 return NotImplemented
+        a, b = self.v, other.v
+        if a is not None and b is not None:
+            if not a:
+                return other
+            if not b:
+                return self
+            bound = self.bound + other.bound
+            if bound < _LIMIT:
+                shift = other.lo - self.lo
+                if shift > 0:
+                    return _packed(a + (b << _DIGIT * shift), self.lo, bound)
+                if shift < 0:
+                    return _packed(b + (a << -_DIGIT * shift), other.lo, bound)
+                v = a + b
+                if v & _LOW:
+                    return _packed(v, self.lo, bound)
+                if not v:
+                    return _packed(0, 0, 0)
+                shift = ((v & -v).bit_length() - 1) // _DIGIT  # digits that cancelled
+                return _packed(v >> _DIGIT * shift, self.lo + shift, bound)
         out = dict(self.terms)
         get = out.get
         for k, c in other.terms.items():
@@ -89,7 +157,9 @@ class MotiveClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return _class({k: -c for k, c in self.terms.items()})
+        if self.v is not None:
+            return _packed(-self.v, self.lo, self.bound)
+        return _unpacked({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _as_class(other)
@@ -101,38 +171,26 @@ class MotiveClass:
         return _as_class(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MotiveClass:
+            if not _is_scalar(other):
+                return NotImplemented
             c = _ex(other)
             if c == 0:
-                return MotiveClass.zero()
+                return _packed(0, 0, 0)
+            if type(c) is int and self.v is not None:
+                bound = self.bound * abs(c)
+                if bound < _LIMIT:
+                    return _packed(self.v * c, self.lo, bound)
             return _class({k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, MotiveClass):
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            ((p1, q1), c1) = next(iter(a.items()))
-            if type(p1) is int and type(q1) is int:
-                return _class({(p2 + p1, q2 + q1): c2 * c1 for (p2, q2), c2 in b.items()})
-        if len(b) == 1:
-            ((p2, q2), c2) = next(iter(b.items()))
-            if type(p2) is int and type(q2) is int:
-                return _class({(p1 + p2, q1 + q2): c1 * c2 for (p1, q1), c1 in a.items()})
-        out = {}
-        get = out.get
-        b_items = [(p2, q2, c2, type(p2) is int and type(q2) is int) for (p2, q2), c2 in b.items()]
-        for (p1, q1), c1 in a.items():
-            int1 = type(p1) is int and type(q1) is int
-            for p2, q2, c2, int2 in b_items:
-                if int1 and int2:
-                    k = (p1 + p2, q1 + q2)
-                else:
-                    k = (_ex(p1 + p2), _ex(q1 + q2))
-                s = get(k, 0) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return _class(out)
+        a, b = self.v, other.v
+        if a is not None and b is not None:
+            if not a or not b:
+                return _packed(0, 0, 0)
+            # each digit of the product sums at most min(n_a, n_b) products
+            bound = self.bound * other.bound * (min(a.bit_length(), b.bit_length()) // _DIGIT + 1)
+            if bound < _LIMIT:
+                return _packed(a * b, self.lo + other.lo, bound)
+        return _class(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -145,27 +203,36 @@ class MotiveClass:
         return out
 
     def __eq__(self, other):
-        other = _as_class(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if type(other) is not MotiveClass:
+            other = _as_class(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.v is not None:
+            return self.v == other.v and self.lo == other.lo
+        return other.v is None and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self.v is not None:
+            return hash((self.v, self.lo))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return self.v is None or self.v != 0
 
     # -- helpers --------------------------------------------------------
 
     def shift(self, k: int) -> "MotiveClass":
         """Multiply by L^k (shift both gradings by k)."""
-        if not k:
+        if not k or not self:
             return self
-        if type(k) is int:
-            # stored exponents are already normalized, and adding an int keeps them so
-            return _class({(p + k, q + k): c for (p, q), c in self.terms.items()})
-        return _class({(_ex(p + k), _ex(q + k)): c for (p, q), c in self.terms.items()})
+        if type(k) is not int:
+            k = _ex(k)
+            if type(k) is not int:
+                return _class({(_ex(p + k), _ex(q + k)): c for (p, q), c in self.terms.items()})
+        if self.v is not None:
+            return _packed(self.v, self.lo + k, self.bound)
+        # stored exponents are already normalized, and adding an int keeps them so
+        return _unpacked({(p + k, q + k): c for (p, q), c in self._terms.items()})
 
     def weights(self) -> set:
         """Set of total weights p + q appearing."""
@@ -181,11 +248,12 @@ class MotiveClass:
         return total
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for (p, q) in sorted(self.terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
-            c = self.terms[(p, q)]
+        for (p, q) in sorted(terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
+            c = terms[(p, q)]
             if (p, q) == (0, 0):
                 bits.append(f"{c}")
             else:
@@ -193,17 +261,95 @@ class MotiveClass:
         return " + ".join(bits)
 
 
-def _class(terms: dict) -> MotiveClass:
-    """Internal: wrap an already-normalized term map."""
-    out = object.__new__(MotiveClass)
-    out.terms = terms
+_new = object.__new__
+
+
+def _packed(v: int, lo: int, bound: int) -> MotiveClass:
+    """Internal: a packed class; v's lowest digit is nonzero, or v = lo = 0.
+    (_terms is read only when v is None, so it stays unset.)"""
+    out = _new(MotiveClass)
+    out.v = v
+    out.lo = lo
+    out.bound = bound
     return out
+
+
+def _unpacked(terms: dict) -> MotiveClass:
+    """Internal: a class in term-map form (the caller knows it does not pack);
+    lo and bound are read only when v is an int, so they stay unset."""
+    out = _new(MotiveClass)
+    out.v = None
+    out._terms = terms
+    return out
+
+
+def _class(terms: dict) -> MotiveClass:
+    """Internal: the canonical class of an already-normalized term map."""
+    bound = 0
+    for (p, q), c in terms.items():
+        if type(p) is not int or p != q:
+            return _unpacked(terms)
+        if type(c) is not int:
+            if c.denominator != 1:
+                return _unpacked(terms)
+            c = c.numerator
+        if c < 0:
+            c = -c
+        if c > bound:
+            bound = c
+    if bound >= _LIMIT:
+        return _unpacked(terms)
+    if not terms:
+        return _packed(0, 0, 0)
+    lo = min(p for p, _q in terms)
+    digits = [0] * (max(p for p, _q in terms) - lo + 1)
+    for (p, _q), c in terms.items():
+        digits[p - lo] = int(c)
+    v = 0
+    for c in reversed(digits):
+        v = (v << _DIGIT) + c
+    return _packed(v, lo, bound)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The term map of a product of two term maps."""
+    if len(a) == 1:
+        ((p1, q1), c1) = next(iter(a.items()))
+        if type(p1) is int and type(q1) is int:
+            return {(p2 + p1, q2 + q1): c2 * c1 for (p2, q2), c2 in b.items()}
+    if len(b) == 1:
+        ((p2, q2), c2) = next(iter(b.items()))
+        if type(p2) is int and type(q2) is int:
+            return {(p1 + p2, q1 + q2): c1 * c2 for (p1, q1), c1 in a.items()}
+    out = {}
+    get = out.get
+    b_items = [(p2, q2, c2, type(p2) is int and type(q2) is int) for (p2, q2), c2 in b.items()]
+    for (p1, q1), c1 in a.items():
+        int1 = type(p1) is int and type(q1) is int
+        for p2, q2, c2, int2 in b_items:
+            if int1 and int2:
+                k = (p1 + p2, q1 + q2)
+            else:
+                k = (_ex(p1 + p2), _ex(q1 + q2))
+            s = get(k, 0) + c1 * c2
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def _is_scalar(x) -> bool:
+    """isinstance(x, (int, Fraction)), exact types first: for any other x
+    the Fraction test goes through ABCMeta.__instancecheck__."""
+    t = type(x)
+    return t is int or t is Fraction or isinstance(x, (int, Fraction))
 
 
 def _as_class(x):
     if isinstance(x, MotiveClass):
         return x
-    if isinstance(x, (int, Fraction)):
+    if _is_scalar(x):
         return MotiveClass.from_scalar(x)
     return NotImplemented
 
@@ -222,6 +368,16 @@ def divide_by_l_diff(cls: MotiveClass, a: int, b: int) -> MotiveClass:
         shift += c
         sign = -1
     y = cls.shift(shift)
+    if y.v is not None:
+        # the quotient's digits are partial sums of y's along each chain, and
+        # so is each digit of the remainder mod L^c - 1, which is then zero
+        # exactly when the integer remainder at L = 2^64 is
+        bound = y.bound * (y.v.bit_length() // _DIGIT + 1)
+        if bound < _LIMIT:
+            q, r = divmod(y.v, (1 << _DIGIT * c) - 1)
+            if r:
+                raise ValueError("inexact division by L^a - L^b")
+            return _packed(q if sign == 1 else -q, y.lo, bound) if q else y
     # Solve Q * (L^c - 1) = y by walking each chain p, p+c, p+2c, ... inside a
     # fixed p - q grade:  Q_p = Q_{p-c} - Y_p.
     groups: dict = {}
@@ -269,7 +425,7 @@ class MotiveFrac:
         """Internal: build from an already-sorted denominator tuple."""
         out = MotiveFrac.__new__(MotiveFrac)
         out.num = num
-        out.den = den if num.terms else ()
+        out.den = den if num.v is None or num.v else ()  # zero is packed as v = 0
         return out
 
     @staticmethod
@@ -289,9 +445,9 @@ class MotiveFrac:
                 return NotImplemented
         if self.den == other.den:
             return MotiveFrac._fast(self.num + other.num, self.den)
-        if not self.num.terms:
+        if not self.num:
             return other
-        if not other.num.terms:
+        if not other.num:
             return self
         common = _multiset_union(self.den, other.den)
         left = self.num
@@ -317,10 +473,11 @@ class MotiveFrac:
         return _as_frac(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MotiveClass)):
-            return MotiveFrac._fast(self.num * other, self.den)
-        if not isinstance(other, MotiveFrac):
-            return NotImplemented
+        if type(other) is not MotiveFrac:
+            if isinstance(other, MotiveClass) or _is_scalar(other):
+                return MotiveFrac._fast(self.num * other, self.den)
+            if not isinstance(other, MotiveFrac):
+                return NotImplemented
         if not other.den:
             return MotiveFrac._fast(self.num * other.num, self.den)
         return MotiveFrac._fast(
@@ -354,7 +511,8 @@ class MotiveFrac:
         return hash(bool(self.num))
 
     def __bool__(self):
-        return bool(self.num.terms)
+        v = self.num.v
+        return v is None or v != 0  # zero is packed as v = 0
 
     def as_class(self) -> MotiveClass:
         """Clear the denominator by exact division; raises ValueError if inexact."""
@@ -379,7 +537,7 @@ class MotiveFrac:
 def _as_frac(x):
     if isinstance(x, MotiveFrac):
         return x
-    if isinstance(x, (int, Fraction, MotiveClass)):
+    if isinstance(x, MotiveClass) or _is_scalar(x):
         return MotiveFrac(x)
     return NotImplemented
 

@@ -22,6 +22,7 @@ from .gaussring import UElement
 from .motives import (
     MotiveClass,
     MotiveFrac,
+    _digits,
     _multiset_sub,
     _multiset_union,
     _product,
@@ -363,12 +364,20 @@ def _image(v):
         return None
     prime = _IMAGE_PRIME
     acc = 0
-    for (p, q), c in v.num.terms.items():
-        if type(c) is not int:
-            if c.denominator % prime == 0:
-                return None
-            c = c.numerator * pow(c.denominator, -1, prime)
-        acc += c * _monomial_image(p, q)
+    num = v.num
+    if num.v is not None:  # sum c L^k with int c, L going to XY
+        if num.v:
+            lval = _IMAGE_POINT[0] * _IMAGE_POINT[1]
+            for c in reversed(_digits(num.v)):
+                acc = (acc * lval + c) % prime
+            acc *= _monomial_image(num.lo, num.lo)
+    else:
+        for (p, q), c in num.terms.items():
+            if type(c) is not int:
+                if c.denominator % prime == 0:
+                    return None
+                c = c.numerator * pow(c.denominator, -1, prime)
+            acc += c * _monomial_image(p, q)
     inv = _den_image_inverse(v.den)
     return None if inv is None else acc * inv % prime
 
@@ -486,7 +495,7 @@ def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d:
     for a, base, mult in _partial_fractions(tuple(sorted(exps))):
         for s, c in num_s.items():
             c = c if mult is None else c * mult
-            out._add_term(s * d + r, d, a, [x * c for x in base])
+            out._add_term(s * d + r, d, a, [c * x for x in base])
 
 
 @lru_cache(maxsize=1024)

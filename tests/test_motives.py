@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -195,3 +196,136 @@ def test_torus_char_class_finite_field_oracle():
 def test_torus_char_class_rejects_negative():
     with pytest.raises(ValueError):
         torus_char_class([-1], Character.trivial())
+
+
+# -- the packed form of integer classes in L ----------------------------------
+
+LIMIT = 1 << 62  # packed coefficients stay below this in size
+
+
+def _packable(terms: dict) -> bool:
+    """Whether a term map is an integer class in L that fits the packed form."""
+    return all(
+        type(p) is int and p == q and Fraction(c).denominator == 1 and abs(c) < LIMIT
+        for (p, q), c in terms.items()
+    )
+
+
+def _canonical(x: MotiveClass) -> MotiveClass:
+    # the form follows the value: equal to, and hashing like, the class
+    # rebuilt from its terms, and packed exactly when the terms allow it
+    assert (x.v is not None) == _packable(x.terms), x
+    rebuilt = MotiveClass(x.terms)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    return x
+
+
+def test_packed_form_follows_the_value():
+    assert L(3).v is not None and MotiveClass.zero().v == 0
+    assert MotiveClass.h(1, 0).v is None
+    assert MotiveClass({(2, 2): Fraction(1, 2)}).v is None
+    assert MotiveClass({(0, 0): LIMIT}).v is None
+    assert MotiveClass({(0, 0): LIMIT - 1}).v is not None
+    # a diagonal class reached by cancelling off-diagonal or Fraction terms
+    off = MotiveClass.h(2, 1, 5)
+    via_off = _canonical((L(1) + off) - off)
+    half = MotiveClass({(1, 1): Fraction(1, 2)})
+    via_half = _canonical(half + half)
+    root = MotiveClass.h(Fraction(1, 2), Fraction(1, 2))
+    via_root = _canonical(root * root)
+    for x in (via_off, via_half, via_root):
+        assert x.v is not None and x.terms == {(1, 1): 1}
+        assert x == L(1) and hash(x) == hash(L(1))
+    assert {via_off, via_half, via_root, L(1)} == {L(1)}
+    # cancelling the lowest terms moves the lowest exponent up
+    top = _canonical((L(-2) + 3 + L(4)) - (L(-2) + 3))
+    assert top.lo == 4 and top == L(4)
+
+
+def test_coefficients_near_the_limit_fall_back_exactly():
+    big = MotiveClass({(0, 0): LIMIT - 1, (1, 1): -(LIMIT - 1)})
+    assert big.v is not None
+    twice = _canonical(big + big)
+    assert twice.v is None and twice.terms == {(0, 0): 2 * LIMIT - 2, (1, 1): 2 - 2 * LIMIT}
+    square = _canonical(big * big)
+    assert square.terms == {(0, 0): (LIMIT - 1) ** 2, (1, 1): -2 * (LIMIT - 1) ** 2, (2, 2): (LIMIT - 1) ** 2}
+    assert _canonical(twice - big) == big and (twice - big).v is not None
+    assert _canonical(big * 4).v is None and _canonical(big * 4 * Fraction(1, 4)) == big
+    # each product coefficient sums up to min(n_a, n_b) = 4 products below 2^62
+    c = (1 << 31) - 1
+    wide = MotiveClass({(k, k): c for k in range(4)})
+    assert wide.v is not None and c * c < LIMIT
+    square = _canonical(wide * wide)
+    assert square.v is None
+    assert square.terms == {(k, k): min(k + 1, 7 - k) * c * c for k in range(7)}
+    # (L - 1)^n: the carried bound 2^n passes the limit long before the
+    # coefficients do; a fallback re-packs with the exact bound
+    x = MotiveClass.one()
+    for n in range(1, 71):
+        x = _canonical(x * (L(1) - 1))
+        assert x.terms == {(k, k): (-1) ** (n - k) * comb(n, k) for k in range(n + 1)}
+        assert (x.v is not None) == (comb(n, n // 2) < LIMIT)
+    assert divide_by_l_diff(x, 1, 0) == (L(1) - 1) ** 69
+
+
+def _class_strategy(st):
+    exps = st.integers(-4, 4)
+    coeff = st.one_of(
+        st.integers(-9, 9),
+        st.integers(LIMIT - 3, LIMIT + 3).map(lambda c: c * (-1) ** c),
+        st.fractions(-4, 4, max_denominator=3),
+    )
+    diag = st.tuples(exps.map(lambda k: (k, k)), coeff)
+    off = st.tuples(st.tuples(exps, exps), st.integers(-9, 9))
+    half = st.tuples(exps.map(lambda k: (Fraction(2 * k + 1, 2), Fraction(-2 * k - 1, 2) + 1)), coeff)
+    term = st.one_of(diag, diag, diag, off, half)
+    return st.lists(term, max_size=5).map(lambda items: MotiveClass(dict(items)))
+
+
+def test_packed_arithmetic_agrees_with_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    u, v, lsym = sympy.symbols("u v L", positive=True)
+
+    def sym(x: MotiveClass):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c)
+            * u ** sympy.Rational(str(p)) * v ** sympy.Rational(str(q))
+            for (p, q), c in x.terms.items()
+        ) + sympy.Integer(0)
+
+    def same(x: MotiveClass, expr) -> None:
+        _canonical(x)
+        assert sympy.expand(sym(x) - expr) == 0, (x, expr)
+
+    classes = _class_strategy(st)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(classes, classes, st.integers(-5, 5), st.integers(-3, 3), st.integers(0, 3))
+    def check(x, y, k, n, e):
+        sx, sy = sym(x), sym(y)
+        same(x + y, sx + sy)
+        same(x - y, sx - sy)
+        same(x * y, sx * sy)
+        same(-x, -sx)
+        same(x.shift(k), sx * (u * v) ** k)
+        same(x * n, sx * n)
+        same(x ** e, sx**e)
+        if (x + y).v is not None:
+            assert (x + y) == (y + x) and hash(x + y) == hash(y + x)
+        a = k if k != n else n + 1
+        divided = divide_by_l_diff(x * (L(a) - L(n)), a, n)
+        same(divided, sx)
+        if all(p == q and Fraction(p).denominator == 1 for p, q in x.terms):
+            at_l = sympy.expand(sx.subs({u: lsym, v: 1}))
+            assert sympy.Rational(str(x.eval_l(Fraction(3)))) == at_l.subs(lsym, 3)
+            # L^a - L^n = L^n (L^c - 1) up to sign, and L is a unit
+            c = abs(a - n)
+            if sympy.rem(sympy.expand(at_l * lsym**20), lsym**c - 1, lsym) == 0:
+                same(divide_by_l_diff(x, a, n) * (L(a) - L(n)), sx)
+            else:
+                with pytest.raises(ValueError, match="inexact"):
+                    divide_by_l_diff(x, a, n)
+
+    check()
