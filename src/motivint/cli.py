@@ -32,7 +32,6 @@ from .jsonio import (
     spectrum_to_json,
     uelement_to_json,
 )
-from .motives import MotiveFrac
 from .oracles import TOLERANCE, PadicContext, check_exp_decomposition, phi_indicator_zero, phi_one
 from .polyparse import PolyParseError, parse_poly
 from .series import exp_t
@@ -92,23 +91,6 @@ def _parse_character(text: str) -> Character:
         raise CliError(f"invalid character {text!r}: {exc}") from exc
 
 
-def _pretty_frac(x: MotiveFrac) -> str:
-    bits = []
-    terms = x.num.terms
-    for (p, q) in sorted(terms):
-        c = terms[(p, q)]
-        if p == q and p.denominator == 1:
-            mono = f"L^{p}" if p else ""
-        else:
-            mono = f"u^{p}*v^{q}"
-        bits.append(f"{c}*{mono}" if mono else f"{c}")
-    num = " + ".join(bits) if bits else "0"
-    if not x.den:
-        return num
-    den = " * ".join(f"(L^{a} - L^{b})" for a, b in x.den)
-    return f"({num}) / ({den})"
-
-
 def cmd_zeta(args) -> int:
     geom = _load_geometry(args.geometry)
     alpha = _parse_character(args.character)
@@ -129,7 +111,7 @@ def cmd_zeta(args) -> int:
         ]
         if args.display == "lpow":
             payload["coefficients_pretty"] = [
-                [i, _pretty_frac(c)] for i, c in zip(range(lo, hi + 1), coeffs)
+                [i, repr(c)] for i, c in zip(range(lo, hi + 1), coeffs)
             ]
     _emit(payload, args.output)
     return 0

@@ -63,11 +63,7 @@ class UElement:
             return NotImplemented
         gauss = dict(self.gauss)
         for a, c in other.gauss.items():
-            s = gauss.get(a, MotiveFrac.zero()) + c
-            if s:
-                gauss[a] = s
-            else:
-                gauss.pop(a, None)
+            _add_gauss(gauss, a, c)
         return UElement(self.scalar + other.scalar, gauss)
 
     __radd__ = __add__
@@ -137,24 +133,26 @@ def _as_u(x):
     return c if c is NotImplemented else UElement(c)
 
 
+def _add_gauss(gauss: dict, alpha: Character, c: MotiveFrac) -> None:
+    """Add c to the coefficient of G_alpha in gauss, dropping it if it cancels."""
+    if not c:
+        return
+    s = gauss.get(alpha)
+    s = c if s is None else s + c
+    if s:
+        gauss[alpha] = s
+    else:
+        gauss.pop(alpha, None)
+
+
 def u_mul(x: UElement, y: UElement) -> UElement:
     """Bilinear product with the Gauss-sum relations; no trivial G in the output."""
     scalar = x.scalar * y.scalar
     gauss: dict = {}
-
-    def add_gauss(alpha, c):
-        if not c:
-            return
-        s = gauss.get(alpha, MotiveFrac.zero()) + c
-        if s:
-            gauss[alpha] = s
-        else:
-            gauss.pop(alpha, None)
-
     for a, c in x.gauss.items():
-        add_gauss(a, c * y.scalar)
+        _add_gauss(gauss, a, c * y.scalar)
     for b, c in y.gauss.items():
-        add_gauss(b, c * x.scalar)
+        _add_gauss(gauss, b, c * x.scalar)
     L = MotiveClass.lpow(1)
     for a, ca in x.gauss.items():
         for b, cb in y.gauss.items():
@@ -163,7 +161,7 @@ def u_mul(x: UElement, y: UElement) -> UElement:
             if ab.is_trivial():
                 scalar = scalar + prod * L
             else:
-                add_gauss(ab, prod * jacobi(a, b))
+                _add_gauss(gauss, ab, prod * jacobi(a, b))
     return UElement(scalar, gauss)
 
 

@@ -27,9 +27,8 @@ def character_from_json(text: str) -> Character:
 
 def motive_class_to_json(cls: MotiveClass) -> list:
     # exponents and coefficients are ints or Fractions, whose str is the
-    # rational's text, and the (p, q) keys sort as rationals
-    terms = cls.terms
-    return [[str(p), str(q), str(terms[p, q])] for p, q in sorted(terms)]
+    # rational's text, and terms come in increasing (p, q) order
+    return [[str(p), str(q), str(c)] for (p, q), c in cls.terms.items()]
 
 
 def motive_class_from_json(items: list) -> MotiveClass:

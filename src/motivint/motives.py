@@ -57,7 +57,8 @@ def _digits(v: int) -> list:
 class MotiveClass:
     """Finite map (p, q) -> rational coefficient, with p + q an integer per term.
 
-    ``terms`` is that map; a packed class builds it on each read.
+    ``terms`` is that map, in increasing (p, q) order; a packed class builds
+    it on each read.
     """
 
     __slots__ = ("v", "lo", "bound", "_terms")
@@ -183,9 +184,9 @@ class MotiveClass:
                     return _packed(self.v * c, self.lo, bound)
             return _class({k: v * c for k, v in self.terms.items()})
         a, b = self.v, other.v
+        if a == 0 or b == 0:  # v is None for a term map
+            return _packed(0, 0, 0)
         if a is not None and b is not None:
-            if not a or not b:
-                return _packed(0, 0, 0)
             # each digit of the product sums at most min(n_a, n_b) products
             bound = self.bound * other.bound * (min(a.bit_length(), b.bit_length()) // _DIGIT + 1)
             if bound < _LIMIT:
@@ -248,17 +249,14 @@ class MotiveClass:
         return total
 
     def __repr__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
+        """The text ``zeta --display lpow`` prints: c*L^k for an integral power of L."""
         bits = []
-        for (p, q) in sorted(terms, key=lambda k: (Fraction(k[0]), Fraction(k[1]))):
-            c = terms[(p, q)]
-            if (p, q) == (0, 0):
-                bits.append(f"{c}")
+        for (p, q), c in self.terms.items():
+            if p == q and p.denominator == 1:
+                bits.append(f"{c}*L^{p}" if p else f"{c}")
             else:
                 bits.append(f"{c}*u^{p}*v^{q}")
-        return " + ".join(bits)
+        return " + ".join(bits) if bits else "0"
 
 
 _new = object.__new__
@@ -275,8 +273,9 @@ def _packed(v: int, lo: int, bound: int) -> MotiveClass:
 
 
 def _unpacked(terms: dict) -> MotiveClass:
-    """Internal: a class in term-map form (the caller knows it does not pack);
-    lo and bound are read only when v is an int, so they stay unset."""
+    """Internal: a class in term-map form (the caller knows it does not pack
+    and that its keys are in increasing order); lo and bound are read only
+    when v is an int, so they stay unset."""
     out = _new(MotiveClass)
     out.v = None
     out._terms = terms
@@ -287,18 +286,17 @@ def _class(terms: dict) -> MotiveClass:
     """Internal: the canonical class of an already-normalized term map."""
     bound = 0
     for (p, q), c in terms.items():
-        if type(p) is not int or p != q:
-            return _unpacked(terms)
-        if type(c) is not int:
-            if c.denominator != 1:
-                return _unpacked(terms)
+        if type(c) is not int and c.denominator == 1:
             c = c.numerator
+        if type(p) is not int or p != q or type(c) is not int:
+            bound = _LIMIT
+            break
         if c < 0:
             c = -c
         if c > bound:
             bound = c
-    if bound >= _LIMIT:
-        return _unpacked(terms)
+    if bound >= _LIMIT:  # sorted once here, so every reader sees (p, q) order
+        return _unpacked(dict(sorted(terms.items())))
     if not terms:
         return _packed(0, 0, 0)
     lo = min(p for p, _q in terms)

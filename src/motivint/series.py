@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor, gcd, lcm
 
-from .gaussring import UElement
+from .gaussring import UElement, _coeff
 from .motives import (
     MotiveClass,
     MotiveFrac,
@@ -32,11 +32,7 @@ from .motives import (
 
 def _coerce(c):
     """Lift plain numbers and classes into MotiveFrac; pass ring elements through."""
-    if isinstance(c, (MotiveFrac, UElement)):
-        return c
-    if isinstance(c, (int, Fraction, MotiveClass)):
-        return MotiveFrac(c)
-    raise TypeError(f"unsupported coefficient {c!r}")
+    return c if isinstance(c, UElement) else _coeff(c)
 
 
 def _shift(c, k: int):

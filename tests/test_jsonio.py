@@ -134,7 +134,6 @@ def _fracs_of(series):
 
 
 def test_motive_class_to_json_matches_fraction_keyed_encoder():
-    from motivint.cli import _pretty_frac
     from motivint.motives import MotiveFrac, _class
     from motivint.series import exp_t
     from motivint.spectra import sg
@@ -162,4 +161,4 @@ def test_motive_class_to_json_matches_fraction_keyed_encoder():
     assert any(type(p) is Fraction for x in fracs for p, q in x.num.terms)
     for x in fracs:
         assert motive_class_to_json(x.num) == _ref_motive_class_to_json(x.num)
-        assert _pretty_frac(x) == _ref_pretty_frac(x)
+        assert repr(x) == _ref_pretty_frac(x)

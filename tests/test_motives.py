@@ -329,3 +329,65 @@ def test_packed_arithmetic_agrees_with_sympy():
                     divide_by_l_diff(x, a, n)
 
     check()
+
+
+def test_zero_times_a_term_map_builds_no_term_map(monkeypatch):
+    import motivint.motives as motives
+
+    def refuse(a, b):
+        raise AssertionError("a product with zero multiplied term maps")
+
+    monkeypatch.setattr(motives, "_mul_terms", refuse)
+    third = Character(Fraction(1, 3))
+    j = jacobi(third, third)
+    assert j.v is None
+    for product in (MotiveClass.zero() * j, j * MotiveClass.zero()):
+        assert (product.v, product.lo) == (0, 0) and product == MotiveClass.zero()
+
+
+# -- one ordered reader and one text form ------------------------------------
+
+
+def _in_order(x: MotiveClass) -> MotiveClass:
+    keys = list(x.terms)
+    assert keys == sorted(keys), keys
+    return x
+
+
+def test_terms_come_in_increasing_order():
+    F = Fraction
+    # keys in descending order, int and Fraction exponents mixed
+    x = MotiveClass({
+        (3, 3): 2, (F(5, 2), F(-1, 2)): -1, (1, 2): 4, (1, 1): F(1, 2),
+        (F(-1, 3), F(4, 3)): 5, (-2, -2): 7,
+    })
+    assert x.v is None
+    assert list(x.terms) == [(-2, -2), (F(-1, 3), F(4, 3)), (1, 1), (1, 2), (F(5, 2), F(-1, 2)), (3, 3)]
+    root = MotiveClass.h(F(-7, 2), F(9, 2), 3)
+    results = [
+        x + root, root + x, x + L(-3), x * root, root * x, x * (L(1) - 1), x - L(5), -x,
+        x.shift(3), x.shift(-4), x.shift(F(1, 2)), x.shift(F(-3, 2)),
+        divide_by_l_diff(x * (L(2) - L(-1)), 2, -1), divide_by_l_diff(x * (1 - L(3)), 0, 3),
+    ]
+    for y in results:
+        assert y.v is None and any(type(p) is Fraction for p, _q in y.terms)
+        _in_order(y)
+    assert results[-2] == x and results[-1] == x
+    # a packed class reads out lowest power first
+    assert list(_in_order(L(4) - 2 + L(-3)).terms) == [(-3, -3), (0, 0), (4, 4)]
+
+
+def test_repr_is_the_lpow_display_text():
+    F = Fraction
+    assert repr(MotiveClass.zero()) == "0"
+    assert repr(MotiveClass.one()) == "1"
+    assert repr(2 * L(3) - 5 + L(-1)) == "1*L^-1 + -5 + 2*L^3"
+    mixed = MotiveClass({(2, 2): F(1, 2), (1, 0): -1, (0, 0): 3, (F(1, 3), F(2, 3)): -1})
+    assert mixed.v is None
+    assert repr(mixed) == "3 + -1*u^1/3*v^2/3 + -1*u^1*v^0 + 1/2*L^2"
+    assert repr(mixed - mixed) == "0"
+    big = MotiveClass({(-1, -1): 1 << 62})
+    assert big.v is None and repr(big) == f"{1 << 62}*L^-1"
+    assert repr(MotiveFrac(mixed)) == repr(mixed)
+    frac = MotiveFrac(L(2) - 1, [(3, 1), (1, 0)])
+    assert repr(frac) == "(-1 + 1*L^2) / ((L^1 - L^0) * (L^3 - L^1))"
