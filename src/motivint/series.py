@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .gaussring import UElement, _coeff
 from .motives import (
     MotiveClass,
     MotiveFrac,
-    _digits,
     _multiset_sub,
     _multiset_union,
     _product,
@@ -265,7 +264,7 @@ class RationalSeries:
                     v = _poly_eval(npoly, n)
                     if v:
                         acc = acc + _shift(v, n * a)
-        return _coerce(acc) if not isinstance(acc, (MotiveFrac, UElement)) else acc
+        return _coerce(acc)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
@@ -320,62 +319,9 @@ class RationalSeries:
 # lifts both sides at every step; the bytes of the result are nonetheless
 # fixed by its value V: the denominator D is the union of the denominators
 # added since the running sum was last zero, and the numerator is V * prod(D).
-# So a chain of additions can be summed by adding the numerators of equal
-# denominators and lifting each group once.  The running sum is watched
-# through a map into the integers modulo a prime that is linear over
-# Z[L, 1/L]: a nonzero image proves it nonzero, and only a zero image costs
-# an exact test.
-
-_IMAGE_PRIME = (1 << 61) - 1
-_IMAGE_POINT = (1_234_567_891_011, 987_654_321_987)
-
-
-@lru_cache(maxsize=4096)
-def _monomial_image(p, q) -> int:
-    """u^p v^q = L^n u^f v^(f - e) with n = floor(p), f = p - n, e = p - q.
-
-    L goes to XY; for integer exponents u^p v^q goes to X^p Y^q, and for
-    f != 0 the part u^f v^(f - e) goes to a fixed pseudo-random residue."""
-    x, y = _IMAGE_POINT
-    n = floor(p)
-    f, e = p - n, p - q
-    part = pow(y, hash((f, e)) if f else -int(e), _IMAGE_PRIME)
-    return pow(x * y, n, _IMAGE_PRIME) * part % _IMAGE_PRIME
-
-
-@lru_cache(maxsize=4096)
-def _den_image_inverse(den: tuple):
-    """1 / prod (L^a - L^b) at L = XY, or None where a factor vanishes."""
-    prime = _IMAGE_PRIME
-    lval = _IMAGE_POINT[0] * _IMAGE_POINT[1] % prime
-    prod = 1
-    for (a, b) in den:
-        prod = prod * (pow(lval, a, prime) - pow(lval, b, prime)) % prime
-    return pow(prod, -1, prime) if prod else None
-
-
-def _image(v):
-    """The image of a MotiveFrac, or None."""
-    if not isinstance(v, MotiveFrac):
-        return None
-    prime = _IMAGE_PRIME
-    acc = 0
-    num = v.num
-    if num.v is not None:  # sum c L^k with int c, L going to XY
-        if num.v:
-            lval = _IMAGE_POINT[0] * _IMAGE_POINT[1]
-            for c in reversed(_digits(num.v)):
-                acc = (acc * lval + c) % prime
-            acc *= _monomial_image(num.lo, num.lo)
-    else:
-        for (p, q), c in num.terms.items():
-            if type(c) is not int:
-                if c.denominator % prime == 0:
-                    return None
-                c = c.numerator * pow(c.denominator, -1, prime)
-            acc += c * _monomial_image(p, q)
-    inv = _den_image_inverse(v.den)
-    return None if inv is None else acc * inv % prime
+# So a chain of additions can be summed over one common denominator and
+# divided down to D at the end; the running sums over the common
+# denominator are exact, so a sum that vanishes on the way is seen.
 
 
 def _lift(num: MotiveClass, den: tuple, common: tuple) -> MotiveClass:
@@ -403,7 +349,7 @@ def _lifted_numerator(num: dict, den: list, residue_zero: bool = False):
     zero numerator).  With ``residue_zero`` the last lift keeps only the
     exponents divisible by d, which is all lambda_of_fraction reads.
     """
-    work = {int(i): _coerce(c) for i, c in num.items() if _coerce(c)}
+    work = {int(i): v for i, c in num.items() if (v := _coerce(c))}
     factors: list[tuple[int, int]] = []
     for (a, b) in den:
         a, b = int(a), int(b)
@@ -549,7 +495,7 @@ class TwoSidedExpansion:
                 v = _poly_eval(npoly, n)
                 if v:
                     acc = acc + _shift(v, n * a)
-        return _coerce(acc) if not isinstance(acc, (MotiveFrac, UElement)) else acc
+        return _coerce(acc)
 
 
 def tau(series: RationalSeries) -> TwoSidedExpansion:
@@ -761,21 +707,17 @@ def _staircase(items: list, d: int):
     """For each rho < d, the sum over items (r, plain, lagged), in order, of
     ``lagged if rho < r else plain``, as _poly_add would build it one at a time.
 
-    By the rule for chains of additions, each coefficient slot first adds
-    the numerators of equal (r, plain or lagged, denominator) and lifts each
-    such group once to the union of all the slot's denominators.  Going up
-    in rho, the items at offset r move from lagged to plain at rho = r,
-    which is one class addition per distinct offset.  rho's own D is the
-    union of the plain denominators at offsets <= rho and the lagged ones
-    above, and its numerator is an exact division of the lifted sum.
+    By the rule for chains of additions, each coefficient slot lifts its
+    nonzero entries once to the union of all the slot's denominators, and
+    every offset adds its lifted entries in item order.  rho's own D is the
+    union of the denominators it added, and its numerator is an exact
+    division of the lifted sum.
 
     Returns {rho: polynomial} for the offsets that some item reaches, with []
-    where the whole sum vanishes, or None when a running sum may vanish on
-    the way and end nonzero, or only some coefficients vanish at the end
-    (then the caller adds one at a time).
+    where the whole sum vanishes, or None when an entry is not a MotiveFrac,
+    a running sum vanishes on the way and ends nonzero, or only some
+    coefficients vanish at the end (then the caller adds one at a time).
     """
-    prime = _IMAGE_PRIME
-    offsets = sorted({r for r, _plain, _lagged in items})
     widths = [
         max((len(lagged if rho < r else plain) for r, plain, lagged in items), default=0)
         for rho in range(d)
@@ -783,80 +725,42 @@ def _staircase(items: list, d: int):
     out: dict = {rho: [] for rho in range(d) if widths[rho]}
     vanishing: dict = {rho: 0 for rho in out}  # slots whose sum ends at zero
     for j in range(max(widths)):
-        images = []  # per item: images of its (plain, lagged) entries, None for 0
-        groups: dict = {}  # (r, lagged?, den) -> sum of numerators
+        entries = []  # per item: r and its (plain, lagged) entries, None for 0
+        den_all: tuple = ()
         for r, plain, lagged in items:
-            pair = []
-            for kind, poly in enumerate((plain, lagged)):
-                e = poly[j] if j < len(poly) else 0
-                if not e:
-                    pair.append(None)
-                    continue
-                img = _image(e)
-                if img is None:
-                    return None
-                pair.append(img)
-                key = (r, kind, e.den)
-                num = groups.get(key)
-                groups[key] = e.num if num is None else num + e.num
-            images.append(pair)
-        # a running sum that vanishes on the way restarts its D; that is
-        # harmless only when the whole offset ends at zero (its key leaves)
-        ends_zero = set()
+            pair = [poly[j] if j < len(poly) and poly[j] else None for poly in (plain, lagged)]
+            for e in pair:
+                if e is not None:
+                    if type(e) is not MotiveFrac:
+                        return None
+                    den_all = _multiset_union(den_all, e.den)
+            entries.append((r, *pair))
+        lifted = [  # per item: r and (lifted numerator, own D) per entry, None for 0
+            (r, *(None if e is None else (_lift(e.num, e.den, den_all), e.den) for e in pair))
+            for r, *pair in entries
+        ]
         for rho in out:
             if j >= widths[rho]:
                 continue
             acc = None  # until the first nonzero entry
+            den: tuple = ()
             dipped = False
-            for (r, _plain, _lagged), pair in zip(items, images):
-                img = pair[1] if rho < r else pair[0]
-                if img is not None:
-                    dipped = dipped or acc == 0
-                    acc = ((acc or 0) + img) % prime
+            for r, plain, lagged in lifted:
+                e = lagged if rho < r else plain
+                if e is not None:
+                    dipped = dipped or acc is not None and not acc
+                    acc = e[0] if acc is None else acc + e[0]
+                    den = _multiset_union(den, e[1])
             if not acc:
-                ends_zero.add(rho)
-            elif dipped:
-                return None
-        den_all: tuple = ()
-        for _r, _kind, den in groups:
-            den_all = _multiset_union(den_all, den)
-        dens = {key: () for r in offsets for key in ((r, 0), (r, 1))}
-        steps = {r: MotiveClass.zero() for r in offsets}  # plain minus lagged
-        total = MotiveClass.zero()  # every item lagged
-        for (r, kind, den), num in groups.items():
-            dens[r, kind] = _multiset_union(dens[r, kind], den)
-            if num:
-                lifted = _lift(num, den, den_all)
-                if kind:
-                    total = total + lifted
-                    steps[r] = steps[r] - lifted
-                else:
-                    steps[r] = steps[r] + lifted
-        plain_den: list = [()]  # [k]: plain denominators of the first k offsets
-        for r in offsets:
-            plain_den.append(_multiset_union(plain_den[-1], dens[r, 0]))
-        lagged_den: list = [()]  # [k]: lagged denominators of offsets[k:]
-        for r in reversed(offsets):
-            lagged_den.append(_multiset_union(lagged_den[-1], dens[r, 1]))
-        lagged_den.reverse()
-        k = 0
-        for rho in range(d):
-            while k < len(offsets) and offsets[k] <= rho:
-                total = total + steps[offsets[k]]
-                k += 1
-            if rho not in out or j >= widths[rho]:
-                continue
-            if rho in ends_zero:
-                if total:
-                    return None  # the image vanished, the sum does not
+                # harmless only when the whole offset ends at zero (its key leaves)
                 vanishing[rho] += 1
                 out[rho].append(MotiveFrac.zero())
                 continue
-            den = _multiset_union(plain_den[k], lagged_den[k])
-            num = total
+            if dipped:
+                return None  # the sum restarted its D on the way
             for (fa, fb) in _multiset_sub(den_all, den):
-                num = divide_by_l_diff(num, fa, fb)
-            out[rho].append(MotiveFrac._fast(num, den))
+                acc = divide_by_l_diff(acc, fa, fb)
+            out[rho].append(MotiveFrac._fast(acc, den))
     for rho, count in vanishing.items():
         if count == widths[rho]:
             out[rho] = []
@@ -867,7 +771,7 @@ def _staircase(items: list, d: int):
 
 def expand_fraction(num: dict, den: list, i_min: int, i_max: int) -> list:
     """Long-division expansion at T = 0 of num / prod (1 - L^a T^b); a check oracle."""
-    work = {int(i): _coerce(c) for i, c in num.items() if _coerce(c)}
+    work = {int(i): v for i, c in num.items() if (v := _coerce(c))}
     for (a, b) in den:
         if b < 0:
             work = {i - b: -_shift(c, -a) for i, c in work.items()}
@@ -889,7 +793,7 @@ def expand_fraction(num: dict, den: list, i_min: int, i_max: int) -> list:
 
 def expand_fraction_at_infinity(num: dict, den: list, i_min: int, i_max: int) -> list:
     """Long-division expansion at T = infinity of num / prod (1 - L^a T^b)."""
-    work = {int(i): _coerce(c) for i, c in num.items() if _coerce(c)}
+    work = {int(i): v for i, c in num.items() if (v := _coerce(c))}
     for (a, b) in den:
         if b < 0:
             work = {i - b: -_shift(c, -a) for i, c in work.items()}

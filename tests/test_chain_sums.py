@@ -1,8 +1,9 @@
 """Closed forms assembled by chain sums against one-by-one addition.
 
 ``prefix_sums`` sums each (d, a) group of its additions at once with one
-routine, ``series._staircase``, and builds the whole series one addition at
-a time when a group declines;
+routine, ``series._staircase``, which adds each coefficient slot exactly over
+one common denominator, and builds the whole series one addition at a time
+when a group declines;
 ``rs_normalize`` and ``_geometric_prefix_poly`` solve partial fractions and
 geometric prefix sums in fewer operations.  The reference functions below
 add one coefficient at a time, in the original order, with their own
@@ -12,10 +13,11 @@ denominators, and the order of the series' keys.
 
 import json
 import random
+from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 
-from motivint import arcs
+from motivint import arcs, series
 from motivint.arcs import MonomialGeometry
 from motivint.characters import Character
 from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
@@ -293,6 +295,16 @@ def test_staircase_matches_one_by_one_bytes():
     assert summed > 100 and declined > 150 and dipped_summed > 30
 
 
+def test_staircase_sums_coefficients_with_any_denominator():
+    # a Fraction coefficient whose denominator is 2^61 - 1 is summed like any
+    # other: the sum at d = 1 has the bytes of x + y
+    x = MotiveFrac(MotiveClass({(0, 0): Fraction(1, 2**61 - 1)}), [(1, 0)])
+    y = MotiveFrac(MotiveClass.lpow(2), [(2, 0)])
+    got = _staircase([(0, [x], []), (0, [y], [])], 1)
+    assert got is not None
+    assert [motive_frac_to_json(c) for c in got[0]] == [motive_frac_to_json(x + y)]
+
+
 def test_geometric_prefix_poly_matches_one_by_one_bytes():
     rng = random.Random(1618)
     for _ in range(200):
@@ -337,16 +349,18 @@ def test_rs_normalize_matches_one_by_one_bytes():
         ), (num, den)
 
 
-def test_prefix_sums_match_one_by_one_bytes():
+def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
     rng = random.Random(6060)
     cases = []
     for _ in range(25):
         num = {rng.randint(0, 5): random_motive_frac(rng, 2) for _ in range(rng.randint(1, 3))}
         den = [(rng.randint(-2, 3), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
         cases.append(rs_normalize(num, den))
+    heads = []
     for geom in _sample_geometries():
         head = RationalSeries(poly={1: arcs.measure_total(geom)})
-        cases.append(head - arcs.zeta_series(geom, Character.trivial()))
+        heads.append(head - arcs.zeta_series(geom, Character.trivial()))
+    cases += heads
     # at (0, 1, 0), the Laurent entry x T and the constant of the geometric
     # sum of (0, 1, 1) cancel, and the constant of (0, 1, 2) brings the key
     # back: one by one it moves to the end of the dict, so the grouped sums
@@ -363,9 +377,23 @@ def test_prefix_sums_match_one_by_one_bytes():
         cases.append(s)
     for s in cases:
         assert _series_bytes(prefix_sums(s)) == _series_bytes(_ref_prefix_sums(s)), s
-    # Gauss-ring coefficients have no image: one-by-one addition throughout
+    # Gauss-ring coefficients are not MotiveFracs: one-by-one addition throughout
     for geom in _sample_geometries()[::4]:
         s = arcs.exp_series(geom)
         assert _series_bytes(prefix_sums(s), uelement_to_json) == _series_bytes(
             _ref_prefix_sums(s), uelement_to_json
         )
+    # the grouped sums never decline on the geometries' measure heads, so
+    # real inputs stay off the one-by-one fallback
+    grouped = series._grouped_prefix_sums
+    declines = []
+
+    def counting(poly, parts):
+        out = grouped(poly, parts)
+        declines.append(out is None)
+        return out
+
+    monkeypatch.setattr(series, "_grouped_prefix_sums", counting)
+    for s in heads:
+        prefix_sums(s)
+    assert len(declines) == len(heads) and not any(declines)
