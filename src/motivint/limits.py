@@ -103,7 +103,7 @@ def window_terms(series, i_min: int, i_max: int) -> int:
     coefficient counts 16 more.
     """
     hits = sum(
-        len(npoly) * max(len(c.num.terms) + len(c.den) for c in npoly) / d
+        len(npoly) * max(c.num.term_count() + len(c.den) for c in npoly) / d
         for (_r, d, _a), npoly in series.terms.items()
     )
     return (i_max - i_min + 1) * (16 + len(series.terms) // 4 + ceil(12 * hits))

@@ -138,13 +138,7 @@ class MotiveClass:
                     return _packed(a + (b << _DIGIT * shift), self.lo, bound)
                 if shift < 0:
                     return _packed(b + (a << -_DIGIT * shift), other.lo, bound)
-                v = a + b
-                if v & _LOW:
-                    return _packed(v, self.lo, bound)
-                if not v:
-                    return _packed(0, 0, 0)
-                shift = ((v & -v).bit_length() - 1) // _DIGIT  # digits that cancelled
-                return _packed(v >> _DIGIT * shift, self.lo + shift, bound)
+                return _normal(a + b, self.lo, bound)
         out = dict(self.terms)
         get = out.get
         for k, c in other.terms.items():
@@ -235,6 +229,15 @@ class MotiveClass:
         # stored exponents are already normalized, and adding an int keeps them so
         return _unpacked({(p + k, q + k): c for (p, q), c in self._terms.items()})
 
+    def term_count(self) -> int:
+        """Number of terms, len(self.terms), without building the map."""
+        if self.v is None:
+            return len(self._terms)
+        if not self.v:
+            return 0
+        digits = _digits(self.v)
+        return len(digits) - digits.count(0)
+
     def weights(self) -> set:
         """Set of total weights p + q appearing."""
         return {_ex(p + q) for p, q in self.terms}
@@ -270,6 +273,36 @@ def _packed(v: int, lo: int, bound: int) -> MotiveClass:
     out.lo = lo
     out.bound = bound
     return out
+
+
+def _normal(v: int, lo: int, bound: int) -> MotiveClass:
+    """Internal: the packed class of the value v with its lowest digit at lo,
+    after a sum: digits that cancelled at the bottom are shifted out, and
+    v = 0 is zero."""
+    if v & _LOW:
+        return _packed(v, lo, bound)
+    if not v:
+        return _packed(0, 0, 0)
+    shift = ((v & -v).bit_length() - 1) // _DIGIT  # digits that cancelled
+    return _packed(v >> _DIGIT * shift, lo + shift, bound)
+
+
+def _aligned(classes: list):
+    """Internal: (ints, lo, bound) with each nonzero class's packed value
+    moved to the lowest lo among them and bound the sum of their bounds, so
+    that the ints add as the classes do and _normal(sum, lo, bound) is the
+    class of any sum of them; None unless every class is packed and bound
+    is below 2^62, so that no partial sum carries between digits."""
+    lo = bound = 0
+    for n, x in enumerate(classes):
+        if x.v is None:
+            return None
+        bound += x.bound
+        if not n or x.lo < lo:
+            lo = x.lo
+    if bound >= _LIMIT:
+        return None
+    return [x.v << _DIGIT * (x.lo - lo) for x in classes], lo, bound
 
 
 def _unpacked(terms: dict) -> MotiveClass:

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 
 from .gaussring import UElement, _coeff
 from .motives import (
     MotiveClass,
     MotiveFrac,
+    _aligned,
     _multiset_sub,
     _multiset_union,
+    _normal,
     _product,
     divide_by_l_diff,
 )
@@ -309,25 +312,6 @@ class RationalSeries:
         for (r, d, a) in sorted(self.terms):
             bits.append(f"term(r={r}, d={d}, a={a}, p={self.terms[(r, d, a)]!r})")
         return "RationalSeries(" + "; ".join(bits) + ")"
-
-
-# ---------------------------------------------------------------------------
-# sums of long chains of coefficients, with the bytes of one-by-one addition
-# ---------------------------------------------------------------------------
-#
-# Adding MotiveFracs one by one, acc = acc + v, unions the denominators and
-# lifts both sides at every step; the bytes of the result are nonetheless
-# fixed by its value V: the denominator D is the union of the denominators
-# added since the running sum was last zero, and the numerator is V * prod(D).
-# So a chain of additions can be summed over one common denominator and
-# divided down to D at the end; the running sums over the common
-# denominator are exact, so a sum that vanishes on the way is seen.
-
-
-def _lift(num: MotiveClass, den: tuple, common: tuple) -> MotiveClass:
-    """num over den rewritten over the larger common denominator."""
-    extra = _multiset_sub(common, den)
-    return num * _product(extra) if extra else num
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +650,23 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
     return out
 
 
+# ---------------------------------------------------------------------------
+# sums of long chains of coefficients, with the bytes of one-by-one addition
+# ---------------------------------------------------------------------------
+#
+# Adding MotiveFracs one by one, acc = acc + v, unions the denominators and
+# lifts both sides at every step; the bytes of the result are nonetheless
+# fixed by its value V: the denominator D is the union of the denominators
+# added since the running sum was last zero, and the numerator is V * prod(D).
+# So a chain of additions can be summed over one common denominator and
+# divided down to D at the end; the running sums over the common
+# denominator are exact, so a sum that vanishes on the way is seen.  When
+# every lifted numerator is a packed integer class in L and their bounds sum
+# below 2^62, the sums run on plain ints (motives._aligned): no digit of a
+# partial sum carries, so an int is zero exactly when its class is, and
+# motives._normal turns a sum back into a class.
+
+
 def _grouped_prefix_sums(poly: dict, parts: list):
     """prefix_sums with each (d, a) group summed at once by _staircase, or
     None when a group declines.
@@ -673,33 +674,57 @@ def _grouped_prefix_sums(poly: dict, parts: list):
     One by one, a key enters its dict at its first nonzero addition and
     leaves it only when its sum empties; the staircase declines when a sum
     empties on the way and ends nonzero, so the keys keep the order of
-    their first additions.  A Laurent entry c T^i adds c at (0, 1, 0) and
-    -c at T^0 ... T^{i-1}, which are written directly.
+    their first additions: the Laurent entries first, then part by part, a
+    part's own keys in rho order before the constant key (0, 1, 0).  A
+    Laurent entry c T^i adds c at (0, 1, 0) and -c at T^0 ... T^{i-1},
+    which are written directly.
     """
     groups: dict = {}  # (d, a) -> additions (r, plain, lagged), in order
-    keys: dict = {}  # (rho, d, a) -> None, in order of first addition
+    tags: dict = {}  # (d, a) -> per addition, (part index, 0 own or 1 constant)
     for c in poly.values():
         groups.setdefault((1, 0), []).append((0, [c], []))
-        keys.setdefault((0, 1, 0))
-    for r, d, a, plain, lagged, const in parts:
+        tags.setdefault((1, 0), []).append((-1, 0))
+    for n, (r, d, a, plain, lagged, const) in enumerate(parts):
         groups.setdefault((d, a), []).append((r, plain, lagged))
-        for rho in range(d):
-            if lagged if rho < r else plain:
-                keys.setdefault((rho, d, a))
+        tags.setdefault((d, a), []).append((n, 0))
         if const:
             groups.setdefault((1, 0), []).append((0, [const], []))
-            keys.setdefault((0, 1, 0))
-    sums: dict = {}
+            tags.setdefault((1, 0), []).append((n, 1))
+    sums: dict = {}  # (rho, d, a) -> (position of its first addition, polynomial)
     for (d, a), items in groups.items():
         group = _staircase(items, d)
         if group is None:
             return None
-        sums.update(((rho, d, a), npoly) for rho, npoly in group.items())
+        tag = tags[(d, a)]
+        for rho, (first, npoly) in group.items():
+            sums[(rho, d, a)] = ((*tag[first], rho), npoly)
     out = RationalSeries()
     for i, c in poly.items():
         for n in range(i):
             out._poly_add_at(n, -c)
-    out.terms = {key: sums[key] for key in keys if sums[key]}
+    ordered = sorted(sums.items(), key=lambda item: item[1][0])
+    out.terms = {key: npoly for key, (_first, npoly) in ordered if npoly}
+    return out
+
+
+def _reach(plain: list, lagged: list, op, unit) -> list:
+    """Per offset rho < d = len(plain), op over plain[r] for r <= rho and
+    lagged[r] for r > rho: a prefix pass and a suffix pass."""
+    after = list(accumulate(reversed(lagged[1:]), op, initial=unit))[::-1]
+    return list(map(op, accumulate(plain, op), after))
+
+
+def _bucket_dens(buckets: list, entries: list) -> list:
+    """Per bucket of item indices, the union of the denominators of their
+    entries (None for 0)."""
+    out = []
+    for bucket in buckets:
+        den: tuple = ()
+        for n in bucket:
+            e = entries[n]
+            if e is not None:
+                den = _multiset_union(den, e.den)
+        out.append(den)
     return out
 
 
@@ -707,66 +732,89 @@ def _staircase(items: list, d: int):
     """For each rho < d, the sum over items (r, plain, lagged), in order, of
     ``lagged if rho < r else plain``, as _poly_add would build it one at a time.
 
-    By the rule for chains of additions, each coefficient slot lifts its
-    nonzero entries once to the union of all the slot's denominators, and
-    every offset adds its lifted entries in item order.  rho's own D is the
-    union of the denominators it added, and its numerator is an exact
-    division of the lifted sum.
+    An item's plain polynomial reaches the offsets rho >= r and its lagged
+    one the offsets rho < r, so with the items bucketed by r, one prefix
+    pass and one suffix pass over the buckets (_reach) give each offset's
+    width, the first item that adds to it and, per coefficient slot, the
+    union D of the denominators it adds.  By the rule for chains of
+    additions, each slot lifts its nonzero entries once to the union of all
+    the slot's denominators; each offset adds its lifted entries in item
+    order, on ints when the slot packs (motives._aligned) and on classes
+    otherwise, and moving from rho to rho + 1 changes only the entries of
+    bucket rho + 1.  rho's numerator is an exact division of the lifted sum
+    down to D.
 
-    Returns {rho: polynomial} for the offsets that some item reaches, with []
-    where the whole sum vanishes, or None when an entry is not a MotiveFrac,
-    a running sum vanishes on the way and ends nonzero, or only some
-    coefficients vanish at the end (then the caller adds one at a time).
+    Returns {rho: (first, polynomial)} for the offsets that some item
+    reaches, with first the index of the first item that adds to rho and []
+    where the whole sum vanishes, or None when an entry is not a
+    MotiveFrac, a running sum vanishes on the way and ends nonzero, or only
+    some coefficients vanish at the end (then the caller adds one at a time).
     """
-    widths = [
-        max((len(lagged if rho < r else plain) for r, plain, lagged in items), default=0)
-        for rho in range(d)
-    ]
-    out: dict = {rho: [] for rho in range(d) if widths[rho]}
-    vanishing: dict = {rho: 0 for rho in out}  # slots whose sum ends at zero
+    count = len(items)
+    buckets: list = [[] for _ in range(d)]  # item indices by r, in order
+    wide = [[0] * d, [0] * d]  # per bucket: the widest plain and lagged polynomial
+    first = [[count] * d, [count] * d]  # per bucket: the first item with one
+    for n, (r, *pair) in enumerate(items):
+        buckets[r].append(n)
+        for side, poly in enumerate(pair):
+            if len(poly) > wide[side][r]:
+                wide[side][r] = len(poly)
+            if poly and first[side][r] == count:
+                first[side][r] = n
+    widths = _reach(*wide, max, 0)
+    firsts = _reach(*first, min, count)
+    polys: dict = {rho: [] for rho in range(d) if widths[rho]}
+    vanishing: dict = dict.fromkeys(polys, 0)  # slots whose sum ends at zero
     for j in range(max(widths)):
-        entries = []  # per item: r and its (plain, lagged) entries, None for 0
+        # per item its plain entries at j, then its lagged ones; None for 0
+        entries = [p[j] if len(p) > j and p[j] else None for _r, p, _l in items]
+        entries += [p[j] if len(p) > j and p[j] else None for _r, _p, p in items]
+        present = [e for e in entries if e is not None]
+        if not set(map(type, present)) <= {MotiveFrac}:
+            return None
+        distinct = {e.den for e in present}
         den_all: tuple = ()
-        for r, plain, lagged in items:
-            pair = [poly[j] if j < len(poly) and poly[j] else None for poly in (plain, lagged)]
-            for e in pair:
-                if e is not None:
-                    if type(e) is not MotiveFrac:
-                        return None
-                    den_all = _multiset_union(den_all, e.den)
-            entries.append((r, *pair))
-        lifted = [  # per item: r and (lifted numerator, own D) per entry, None for 0
-            (r, *(None if e is None else (_lift(e.num, e.den, den_all), e.den) for e in pair))
-            for r, *pair in entries
-        ]
-        for rho in out:
+        for den in distinct:
+            den_all = _multiset_union(den_all, den)
+        dens = _reach(
+            _bucket_dens(buckets, entries[:count]),
+            _bucket_dens(buckets, entries[count:]),
+            _multiset_union,
+            (),
+        )
+        # each entry lifted to den_all, by one factor per denominator
+        lifts = {den: _product(_multiset_sub(den_all, den)) for den in distinct if den != den_all}
+        lifted = [e.num * lifts[e.den] if e.den in lifts else e.num for e in present]
+        aligned = _aligned(lifted)
+        if aligned is not None:
+            lifted, lo, bound = aligned
+        nonzero = iter(lifted)
+        values = [0 if e is None else next(nonzero) for e in entries]  # 0 for no entry
+        walk = values[count:]  # rho's entries: plain from bucket r <= rho, lagged after
+        for rho in range(d):
+            for n in buckets[rho]:
+                walk[n] = values[n]
             if j >= widths[rho]:
                 continue
-            acc = None  # until the first nonzero entry
-            den: tuple = ()
-            dipped = False
-            for r, plain, lagged in lifted:
-                e = lagged if rho < r else plain
-                if e is not None:
-                    dipped = dipped or acc is not None and not acc
-                    acc = e[0] if acc is None else acc + e[0]
-                    den = _multiset_union(den, e[1])
-            if not acc:
+            sums = list(accumulate(filter(None, walk)))
+            total = sums[-1] if sums else 0
+            if not total:
                 # harmless only when the whole offset ends at zero (its key leaves)
                 vanishing[rho] += 1
-                out[rho].append(MotiveFrac.zero())
+                polys[rho].append(MotiveFrac.zero())
                 continue
-            if dipped:
+            if not all(sums):
                 return None  # the sum restarted its D on the way
-            for (fa, fb) in _multiset_sub(den_all, den):
+            acc = total if aligned is None else _normal(total, lo, bound)
+            for (fa, fb) in _multiset_sub(den_all, dens[rho]):
                 acc = divide_by_l_diff(acc, fa, fb)
-            out[rho].append(MotiveFrac._fast(acc, den))
-    for rho, count in vanishing.items():
-        if count == widths[rho]:
-            out[rho] = []
-        elif count:
+            polys[rho].append(MotiveFrac._fast(acc, dens[rho]))
+    for rho, zeros in vanishing.items():
+        if zeros == widths[rho]:
+            polys[rho] = []
+        elif zeros:
             return None
-    return out
+    return {rho: (firsts[rho], npoly) for rho, npoly in polys.items()}
 
 
 def expand_fraction(num: dict, den: list, i_min: int, i_max: int) -> list:

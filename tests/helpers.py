@@ -9,14 +9,37 @@ checks.
 from __future__ import annotations
 
 import cmath
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import pi
 
+import motivint
 from motivint.arcs import MonomialGeometry
 from motivint.characters import Character
 from motivint.motives import MotiveClass, MotiveFrac
+
+
+def motivint_modules():
+    for info in pkgutil.iter_modules(motivint.__path__):
+        yield importlib.import_module(f"motivint.{info.name}")
+
+
+def lru_caches() -> dict:
+    """Every memo of the package, by qualified name."""
+    return {
+        f"{module.__name__}.{name}": obj
+        for module in motivint_modules()
+        for name, obj in vars(module).items()
+        if callable(getattr(obj, "cache_info", None))
+    }
+
+
+def clear_caches() -> None:
+    for fn in lru_caches().values():
+        fn.cache_clear()
 
 
 def primitive_root_mod(q: int) -> int:

@@ -5,11 +5,8 @@ long-running caller; a cached value that a caller mutates would make a
 recomputation differ from the first answer.
 """
 
-import importlib
 import json
-import pkgutil
 
-import motivint
 from motivint.arcs import (
     MonomialGeometry,
     exp_coefficient,
@@ -27,6 +24,8 @@ from motivint.motives import MotiveFrac
 from motivint.series import rs_normalize
 from motivint.spectra import sg
 
+from helpers import clear_caches, lru_caches, motivint_modules
+
 GEOMETRIES = [
     MonomialGeometry.make(1, [6], [2], [1]),
     MonomialGeometry.make(2, [2, 3], None, [1, 2]),
@@ -37,27 +36,8 @@ GEOMETRIES = [
 X3 = MonomialGeometry.make(1, [3], None, [1])
 
 
-def _modules():
-    for info in pkgutil.iter_modules(motivint.__path__):
-        yield importlib.import_module(f"motivint.{info.name}")
-
-
-def _caches() -> dict:
-    return {
-        f"{module.__name__}.{name}": obj
-        for module in _modules()
-        for name, obj in vars(module).items()
-        if callable(getattr(obj, "cache_info", None))
-    }
-
-
-def _clear_all() -> None:
-    for fn in _caches().values():
-        fn.cache_clear()
-
-
 def test_every_cache_is_a_bounded_lru_cache():
-    caches = _caches()
+    caches = lru_caches()
     for name in (
         "arcs._diag_tail_levels",
         "arcs._measure_levels",
@@ -73,7 +53,7 @@ def test_every_cache_is_a_bounded_lru_cache():
     assert not unbounded
     dict_caches = [
         f"{module.__name__}.{name}"
-        for module in _modules()
+        for module in motivint_modules()
         for name, obj in vars(module).items()
         if isinstance(obj, (dict, list)) and name.endswith(("_cache", "_levels"))
     ]
@@ -113,17 +93,17 @@ def _outputs(geom, between) -> list[str]:
 
 
 def test_clearing_every_cache_part_way_keeps_every_byte():
-    _clear_all()
+    clear_caches()
     before = [_outputs(geom, lambda: None) for geom in GEOMETRIES]
     # read back from the caches just filled
     assert [_outputs(geom, lambda: None) for geom in GEOMETRIES] == before
     after = []
     for geom in GEOMETRIES:
-        _clear_all()
+        clear_caches()
         measure_gt(geom, 20)  # levels half grown when they are dropped
         ts_direct_exp_coefficient(X3, geom, 4)  # and the pair's tail levels
-        _clear_all()
-        after.append(_outputs(geom, _clear_all))
+        clear_caches()
+        after.append(_outputs(geom, clear_caches))
     assert after == before
 
 
@@ -148,7 +128,7 @@ def test_exp_series_builds_the_zeta_closed_form_once(monkeypatch):
 
     monkeypatch.setattr(arcs, "rs_normalize", counted)
     for geom in GEOMETRIES:
-        _clear_all()
+        clear_caches()
         calls.clear()
         exp_series(geom)
         assert len(calls) == 1

@@ -2,8 +2,8 @@
 
 ``prefix_sums`` sums each (d, a) group of its additions at once with one
 routine, ``series._staircase``, which adds each coefficient slot exactly over
-one common denominator, and builds the whole series one addition at a time
-when a group declines;
+one common denominator, on ints when the slot's numerators pack, and builds
+the whole series one addition at a time when a group declines;
 ``rs_normalize`` and ``_geometric_prefix_poly`` solve partial fractions and
 geometric prefix sums in fewer operations.  The reference functions below
 add one coefficient at a time, in the original order, with their own
@@ -33,7 +33,7 @@ from motivint.series import (
     rs_normalize,
 )
 
-from helpers import all_geometries, random_motive_frac, twisted_geometries
+from helpers import all_geometries, clear_caches, random_motive_frac, twisted_geometries
 
 
 def _series_bytes(s: RationalSeries, coeff_to_json=motive_frac_to_json):
@@ -233,7 +233,7 @@ def test_chain_sums_match_one_by_one_bytes():
             assert acc and (dipped or not all(acc)), polys
             continue
         emptied_summed += was_empty
-        assert [motive_frac_to_json(c) for c in got[0]] == [
+        assert [motive_frac_to_json(c) for c in got[0][1]] == [
             motive_frac_to_json(c) for c in acc
         ], polys
     assert emptied > 20 and declined > 50 and emptied_summed > 30, (
@@ -287,12 +287,180 @@ def test_staircase_matches_one_by_one_bytes():
         dipped_summed += any(dipped for _acc, dipped in sums)
         for rho, (acc, _dipped) in enumerate(sums):
             if rho in got:
-                assert [motive_frac_to_json(c) for c in got[rho]] == [
+                assert [motive_frac_to_json(c) for c in got[rho][1]] == [
                     motive_frac_to_json(c) for c in acc
                 ], (items, rho)
             else:
                 assert not acc
     assert summed > 100 and declined > 150 and dipped_summed > 30
+
+
+def _packed_frac(rng, den, big=False):
+    """A MotiveFrac over den whose numerator is an integer class in L, so
+    packed; with ``big`` its coefficients are near 2^61."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(-3, 3)
+        c = 2**61 - rng.randint(0, 9) if big else rng.randint(1, 4)
+        terms[(k, k)] = rng.choice([-1, 1]) * c
+    return MotiveFrac(MotiveClass(terms), den)
+
+
+def _first_adder(items, rho):
+    return next(n for n, (r, plain, lagged) in enumerate(items) if (lagged if rho < r else plain))
+
+
+def _check_group(items, d):
+    """The staircase against one-by-one sums at every offset: the same
+    bytes and first additions, and a decline exactly where some offset's
+    nonzero sum dipped on the way or ends with a zero coefficient; returns
+    the one-by-one (sum, dipped) per offset, or None on a decline."""
+    got = _staircase(items, d)
+    sums = [_one_by_one(items, rho) for rho in range(d)]
+    assert (got is None) == any(acc and (dipped or not all(acc)) for acc, dipped in sums), items
+    if got is None:
+        return None
+    for rho, (acc, _dipped) in enumerate(sums):
+        if rho in got:
+            first, npoly = got[rho]
+            assert first == _first_adder(items, rho)
+            assert [motive_frac_to_json(c) for c in npoly] == [
+                motive_frac_to_json(c) for c in acc
+            ], (items, rho)
+        else:
+            assert not acc and not any(lagged if rho < r else plain for r, plain, lagged in items)
+    return sums
+
+
+def test_staircase_int_path_matches_one_by_one(monkeypatch):
+    # groups of integer classes in L, which the staircase sums on ints, over
+    # one shared denominator or mixed ones, with repeated offsets r, d up to
+    # 60, and running sums cancelled on the way or at the end; then groups
+    # whose coefficients are near 2^61, so that the lifted bounds reach 2^62
+    # and the sums run on classes
+    domains = []
+    aligned = series._aligned
+
+    def recording(classes):
+        out = aligned(classes)
+        domains.append(out is not None)
+        return out
+
+    monkeypatch.setattr(series, "_aligned", recording)
+    rng = random.Random(2525)
+    shared = [((1, 0),)]
+    mixed = [(), ((1, 0),), ((2, 0),), ((1, 0), (2, 1)), ((-1, 0),), ((1, 0), (1, 0))]
+    summed = declined = dipped_summed = wide = 0
+    for case in range(150):
+        big = case >= 120
+        d = rng.choice([1, 2, 5, 12, 60] if not big else [1, 2, 3])
+        dens = shared if rng.random() < 0.4 else mixed
+        items = []
+        for _ in range(rng.randint(3 if big else 1, d + 8)):
+            r = rng.randrange(d)
+            plain, lagged = (
+                _ref_trim([_packed_frac(rng, rng.choice(dens), big) for _ in range(rng.randint(0, 3))])
+                for _ in range(2)
+            )
+            rho = rng.randrange(d)
+            acc, _ = _one_by_one(items, rho)
+            u = rng.random() * (1 if d < 12 else 8)  # a few cancellations per wide group
+            if u < 0.4 and acc:  # cancel rho's whole running sum, or some slots
+                cancel = _ref_trim(
+                    [-c if u < 0.2 or rng.random() < 0.5 else c for c in acc]
+                )
+                if rho < r:
+                    lagged = cancel
+                else:
+                    plain = cancel
+            items.append((r, plain, lagged))
+        before = len(domains)
+        checked = _check_group(items, d)
+        if big:
+            assert not all(domains[before:])
+        if checked is None:
+            declined += 1
+            continue
+        summed += 1
+        wide += d == 60
+        dipped_summed += any(dipped for _acc, dipped in checked)
+    ints = sum(domains)
+    assert summed > 50 and declined > 50 and dipped_summed > 10 and wide > 5
+    assert ints > 180 and len(domains) - ints > 20, (ints, len(domains))
+
+
+def test_staircase_work_is_linear_on_measure_series(monkeypatch):
+    # x^3 y^4 z^5 on all of W: three (60, a) groups of 60 single-coefficient
+    # items and a (1, 0) group of 182; the class additions made inside the
+    # staircase, caches cleared, stay below width * (d + items) per group
+    # (543 here; the walk of every offset through every item made 10,830)
+    clear_caches()
+    state = {"inside": False, "adds": 0, "bound": 0}
+    add = MotiveClass.__add__
+
+    def counting_add(self, other):
+        state["adds"] += state["inside"]
+        return add(self, other)
+
+    staircase = series._staircase
+
+    def counting_staircase(items, d):
+        width = max((max(len(plain), len(lagged)) for _r, plain, lagged in items), default=0)
+        state["bound"] += width * (d + len(items))
+        state["inside"] = True
+        try:
+            return staircase(items, d)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(MotiveClass, "__add__", counting_add)
+    monkeypatch.setattr(MotiveClass, "__radd__", counting_add)
+    monkeypatch.setattr(series, "_staircase", counting_staircase)
+    arcs.measure_series(MonomialGeometry.make(3, [3, 4, 5], None, [1, 2, 3]))
+    assert state["bound"] == 543
+    assert state["adds"] <= state["bound"], state
+
+
+def _ref_grouped(poly, parts):
+    """prefix_sums' fallback: every addition one at a time."""
+    out = RationalSeries()
+    for i, c in poly.items():
+        out._add_term(i, 1, 0, [c])
+    for r, d, a, plain, lagged, const in parts:
+        for rho in range(d):
+            shifted = lagged if rho < r else plain
+            if shifted:
+                out._add_term(rho, d, a, shifted)
+        if const:
+            out._add_term(0, 1, 0, [const])
+    return out
+
+
+def test_grouped_key_order_matches_one_by_one():
+    # random parts over a few (d, a), (1, 0) among them, with repeated
+    # offsets, empty plain or lagged polynomials, constants and Laurent
+    # entries: the grouped sums keep each key where one-by-one addition puts it
+    rng = random.Random(7171)
+    summed = 0
+    for _ in range(150):
+        steps = [(1, 0)] + [(rng.choice([1, 2, 3, 5]), rng.randint(-2, 2)) for _ in range(2)]
+        poly = {rng.randint(0, 4): random_motive_frac(rng, 2) for _ in range(rng.randint(0, 2))}
+        poly = {i: c for i, c in poly.items() if c}
+        parts = []
+        for _ in range(rng.randint(1, 8)):
+            d, a = rng.choice(steps)
+            plain, lagged = (
+                _ref_trim([random_motive_frac(rng, 2) for _ in range(rng.choice([0, 1, 2]))])
+                for _ in range(2)
+            )
+            const = random_motive_frac(rng, 2) if rng.random() < 0.4 else None
+            parts.append((rng.randrange(d), d, a, plain, lagged, const))
+        got = series._grouped_prefix_sums(poly, parts)
+        if got is None:
+            continue
+        summed += 1
+        assert _series_bytes(got) == _series_bytes(_ref_grouped(poly, parts)), parts
+    assert summed > 120, summed
 
 
 def test_staircase_sums_coefficients_with_any_denominator():
@@ -302,7 +470,7 @@ def test_staircase_sums_coefficients_with_any_denominator():
     y = MotiveFrac(MotiveClass.lpow(2), [(2, 0)])
     got = _staircase([(0, [x], []), (0, [y], [])], 1)
     assert got is not None
-    assert [motive_frac_to_json(c) for c in got[0]] == [motive_frac_to_json(x + y)]
+    assert [motive_frac_to_json(c) for c in got[0][1]] == [motive_frac_to_json(x + y)]
 
 
 def test_geometric_prefix_poly_matches_one_by_one_bytes():

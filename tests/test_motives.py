@@ -215,6 +215,7 @@ def _canonical(x: MotiveClass) -> MotiveClass:
     # the form follows the value: equal to, and hashing like, the class
     # rebuilt from its terms, and packed exactly when the terms allow it
     assert (x.v is not None) == _packable(x.terms), x
+    assert x.term_count() == len(x.terms), x
     rebuilt = MotiveClass(x.terms)
     assert x == rebuilt and hash(x) == hash(rebuilt)
     return x
@@ -240,6 +241,9 @@ def test_packed_form_follows_the_value():
     # cancelling the lowest terms moves the lowest exponent up
     top = _canonical((L(-2) + 3 + L(4)) - (L(-2) + 3))
     assert top.lo == 4 and top == L(4)
+    # the terms are the nonzero digits, zero digits inside skipped
+    assert _canonical(L(-2) + 3 + L(4)).term_count() == 3
+    assert MotiveClass.zero().term_count() == 0
 
 
 def test_coefficients_near_the_limit_fall_back_exactly():

@@ -245,6 +245,50 @@ def test_prefix_sums_match_running_totals():
             assert ps.coefficient(i) == acc, (num, den, i)
 
 
+def test_prefix_sums_are_running_totals_property():
+    # a second path for prefix_sums: coefficient i is the sum of the series'
+    # coefficients 0..i, on canonical series whose coefficients are packed
+    # integer classes in L or term maps (rational coefficients, half-integer
+    # Hodge exponents), over a few denominators
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from fractions import Fraction
+
+    from motivint.series import prefix_sums
+
+    exps = st.integers(-3, 3)
+    packed = st.tuples(exps.map(lambda k: (k, k)), st.integers(-5, 5))
+    rational = st.tuples(exps.map(lambda k: (k, k)), st.fractions(-3, 3, max_denominator=4))
+    half = st.tuples(
+        exps.map(lambda k: (Fraction(2 * k + 1, 2), Fraction(1 - 2 * k, 2))), st.integers(-5, 5)
+    )
+    classes = st.one_of(
+        st.lists(packed, min_size=1, max_size=3),
+        st.lists(st.one_of(packed, rational, half), min_size=1, max_size=3),
+    ).map(lambda items: MotiveClass(dict(items)))
+    dens = st.sampled_from([(), ((1, 0),), ((2, 0),), ((1, 0), (2, 1)), ((-1, 0),)])
+    coeffs = st.builds(MotiveFrac, classes, dens)
+    keys = st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.integers(0, d - 1), st.just(d), st.integers(-2, 2))
+    )
+    series = st.builds(
+        lambda poly, terms: RationalSeries(poly=poly, terms=terms),
+        st.dictionaries(st.integers(0, 4), coeffs, max_size=3),
+        st.dictionaries(keys, st.lists(coeffs, min_size=1, max_size=3), max_size=3),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(series)
+    def check(s):
+        ps = prefix_sums(s)
+        acc = MotiveFrac.zero()
+        for i in range(12):
+            acc = acc + s.coefficient(i)
+            assert ps.coefficient(i) == acc, (s, i)
+
+    check()
+
+
 def test_prefix_sums_reject_negative_support():
     import pytest as _pytest
     from motivint.series import prefix_sums
