@@ -4,8 +4,11 @@ Each digest covers one kind of value over a fixed sample: ``exp_series``,
 ``measure_series``, ``sg`` and ``zeta_series`` (every character) on every
 fifth criterion-7 geometry plus 40 twisted ones, and
 ``ts_direct_exp_coefficient`` on the benchmark's four 2-d pairs at orders
-0..30.  The digests in ``golden/closed_form_sha256.json`` pin every byte, so
-a change of representation below the JSON must leave them as they are.
+0..30.  The JSON sorts its keys, so one more digest, ``key_order``, pins
+the insertion order of ``poly`` and ``terms`` of every ``exp_series``,
+``measure_series`` and ``zeta_series`` in the sample.  The digests in
+``golden/closed_form_sha256.json`` pin every byte, so a change of
+representation below the JSON must leave them as they are.
 
 Re-record (only for an intended change of output) with::
 
@@ -49,17 +52,26 @@ def corpus_geometries() -> list[MonomialGeometry]:
 
 
 def corpus_digests() -> dict[str, str]:
-    hashes = {kind: hashlib.sha256() for kind in ("exp_series", "measure_series", "sg", "zeta_series")}
+    kinds = ("exp_series", "measure_series", "sg", "zeta_series", "key_order")
+    hashes = {kind: hashlib.sha256() for kind in kinds}
 
     def put(kind: str, obj) -> None:
         hashes[kind].update(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
 
+    def put_keys(s) -> None:
+        put("key_order", [list(s.poly), list(s.terms)])
+
     for geom in corpus_geometries():
-        put("exp_series", series_to_json(exp_series(geom), uelement_to_json))
-        put("measure_series", series_to_json(measure_series(geom)))
+        e, m = exp_series(geom), measure_series(geom)
+        put("exp_series", series_to_json(e, uelement_to_json))
+        put("measure_series", series_to_json(m))
         put("sg", uelement_to_json(sg(geom)))
+        put_keys(e)
+        put_keys(m)
         for alpha in geom.characters():
-            put("zeta_series", [str(alpha), series_to_json(zeta_series(geom, alpha))])
+            z = zeta_series(geom, alpha)
+            put("zeta_series", [str(alpha), series_to_json(z)])
+            put_keys(z)
     ts = hashlib.sha256()
     for left, right in TS_2D_PAIRS:
         left, right = MonomialGeometry.make(*left), MonomialGeometry.make(*right)
