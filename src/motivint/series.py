@@ -176,16 +176,11 @@ class RationalSeries:
         if s0:
             # reindex n -> n + s0; boundary corrections land in the Laurent part
             npoly = _poly_trim([_shift(c, -s0 * a) for c in _poly_compose_affine(npoly, 1, -s0)])
-            if s0 > 0:
-                for n in range(0, s0):
-                    v = _poly_eval(npoly, n)
-                    if v:
-                        self._poly_add_at(n * d + r_can, -_shift(v, n * a))
-            else:
-                for n in range(s0, 0):
-                    v = _poly_eval(npoly, n)
-                    if v:
-                        self._poly_add_at(n * d + r_can, _shift(v, n * a))
+            for n in range(min(s0, 0), max(s0, 0)):
+                v = _poly_eval(npoly, n)
+                if v:
+                    v = _shift(v, n * a)
+                    self._poly_add_at(n * d + r_can, -v if s0 > 0 else v)
         self._merge_term((r_can, d, a), npoly)
 
     def _merge_term(self, key: tuple, npoly: list) -> None:
@@ -232,8 +227,7 @@ class RationalSeries:
         out = RationalSeries()
         if not c:
             return out
-        out.poly = {i: v * c for i, v in self.poly.items()}
-        out.poly = {i: v for i, v in out.poly.items() if v}
+        out.poly = {i: w for i, v in self.poly.items() if (w := v * c)}
         for k, npoly in self.terms.items():
             scaled = _poly_scale(npoly, c)
             if scaled:
@@ -273,8 +267,8 @@ class RationalSeries:
         if not isinstance(other, RationalSeries):
             return NotImplemented
         step = lcm(*(d for (_r, d, _a) in self.terms), *(d for (_r, d, _a) in other.terms))
-        pa, ta = self._refined(step)
-        pb, tb = other._refined(step)
+        pa, ta = self.poly, self._refined(step)
+        pb, tb = other.poly, other._refined(step)
         if set(pa) != set(pb) or set(ta) != set(tb):
             return False
         if any(pa[i] != pb[i] for i in pa):
@@ -289,23 +283,15 @@ class RationalSeries:
         # equality refines the terms but compares the Laurent exponents as they are
         return hash(frozenset(self.poly))
 
-    def _refined(self, step: int):
-        """Rewrite all terms at the common step; returns (poly, terms at step)."""
-        poly = dict(self.poly)
-        terms: dict = {}
+    def _refined(self, step: int) -> dict:
+        """The terms rewritten at the common step."""
+        out = RationalSeries()
         for (r, d, a), npoly in self.terms.items():
             k_ratio = step // d
             for j in range(k_ratio):
                 sub = _poly_trim([_shift(c, j * a) for c in _poly_compose_affine(npoly, k_ratio, j)])
-                if not sub:
-                    continue
-                key = (r + j * d, step, a * k_ratio)
-                merged = _poly_add(terms.get(key, []), sub)
-                if merged:
-                    terms[key] = merged
-                else:
-                    terms.pop(key, None)
-        return poly, terms
+                out._merge_term((r + j * d, step, a * k_ratio), sub)
+        return out.terms
 
     def __repr__(self):
         bits = [f"poly={{{', '.join(f'{i}: {c!r}' for i, c in sorted(self.poly.items()))}}}"]
@@ -401,27 +387,41 @@ def lambda_of_fraction(num: dict, den: list[tuple[int, int]]):
     """lambda_functional(rs_normalize(num, den)), without building the series.
 
     A canonical term has offset 0 <= r < d, so lambda is the T^0 coefficient
-    of the Laurent part, and only the residue class r = 0 of the common step
-    writes there (through _add_term's reindexing corrections).  That slice
-    alone goes through the same operations in the same order as in
-    rs_normalize, so the value is identical, denominators included.
+    of the Laurent part, which only the residue class r = 0 of the common
+    step can write.  A proper slice writes none (_reduce_single_step), so
+    lambda is zero; an improper one runs the same operations in the same
+    order as in rs_normalize, so the value is identical, denominators included.
     """
     work, exps, d = _lifted_numerator(num, den, residue_zero=True)
     if not exps:
         return lambda_functional(RationalSeries(poly=work))
     out = RationalSeries()
     num_s = {i // d: c for i, c in work.items() if i % d == 0}
-    if num_s:
+    if not all(0 <= s < len(exps) for s in num_s):
         _reduce_single_step(out, num_s, exps, 0, d)
     return lambda_functional(out)
 
 
 def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d: int) -> None:
-    """Partial fractions of num_s(S) / prod (1 - L^A S) at step d, offset r."""
+    """Partial fractions of num_s(S) / prod (1 - L^A S) at step d, offset r.
+
+    Each entry c S^s of a leaf is reindexed to n >= 0.  A slice is proper when
+    0 <= s < len(exps) for every s: then the leaves' quasi-polynomials give
+    the coefficient of S^n for every n >= 0, so the boundary corrections of
+    _add_term, at n d + r for n < s where no other slice writes, cancel and
+    are skipped.
+    """
+    proper = all(0 <= s < len(exps) for s in num_s)
     for a, base, mult in _partial_fractions(tuple(sorted(exps))):
         for s, c in num_s.items():
             c = c if mult is None else c * mult
-            out._add_term(s * d + r, d, a, [c * x for x in base])
+            npoly = [c * x for x in base]
+            if not proper:
+                out._add_term(s * d + r, d, a, npoly)
+                continue
+            if s and len(npoly) > 1:
+                npoly = _poly_compose_affine(npoly, 1, -s)
+            out._merge_term((r, d, a), _poly_trim([_shift(x, -s * a) for x in npoly]))
 
 
 @lru_cache(maxsize=1024)

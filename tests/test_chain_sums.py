@@ -498,9 +498,63 @@ def _sample_geometries():
     )
 
 
+def _slices(num, den):
+    """The lifted exponent count and, per residue r of the common step d,
+    the numerator exponents s of the slice num_s."""
+    work, exps, d = _lifted_numerator(num, den)
+    slices = {}
+    for i in work:
+        slices.setdefault(i % d, set()).add(i // d)
+    return len(exps), slices
+
+
+def _is_proper(k, ss):
+    return all(0 <= s < k for s in ss)
+
+
+def _boundary_fractions():
+    """Fractions whose slices sit at the proper/improper boundary: s =
+    len(exps) - 1 (proper), s = len(exps) and s = -1 (improper), with
+    repeated exponents, factors with b < 0 (each shifts s up by one), and
+    proper and improper slices side by side in one fraction."""
+    rng = random.Random(2626)
+    cases = []
+    for exps in ([1], [0, 2], [1, 1], [2, 2, -1], [0, 0, 0], [-1, 3, 3, 1]):
+        k = len(exps)
+        proper_sets = [(k - 1,), (0, k - 1), (0,)]
+        improper_sets = [(k,), (-1,), (-1, k - 1), (0, k), (k, k + 1)]
+        for d in (1, 2, 3):
+            for neg in range(min(k, 2) + 1):
+                den = [(-a, -d) if n < neg else (a, d) for n, a in enumerate(exps)]
+                for _ in range(2):
+                    num = {}
+                    for r in range(d):
+                        # with d > 1 the first slice is proper and the second
+                        # not, or the other way round
+                        sets = proper_sets if (r == 0) == (len(cases) % 2 == 0) else improper_sets
+                        for s in rng.choice(sets):
+                            num[(s - neg) * d + r] = random_motive_frac(rng, 1) or MotiveFrac(1)
+                    cases.append((num, den))
+    # unequal steps: the numerator is lifted to the common step first
+    cases += [({0: MotiveFrac(1), 5: MotiveFrac(2)}, [(1, 2), (1, 3), (0, 6)])]
+    cases += [({-1: MotiveFrac(1), 11: MotiveFrac(-1)}, [(2, 2), (-1, -3)])]
+    return cases
+
+
+def test_boundary_fractions_cover_the_boundary():
+    seen = set()
+    for num, den in _boundary_fractions():
+        k, slices = _slices(num, den)
+        for ss in slices.values():
+            seen |= {s - k for s in ss if s in (k - 1, k)} | {"s = -1" for s in ss if s == -1}
+        if len({_is_proper(k, ss) for ss in slices.values()}) == 2:
+            seen.add("mixed")
+    assert seen == {-1, 0, "s = -1", "mixed"}
+
+
 def test_rs_normalize_matches_one_by_one_bytes():
     rng = random.Random(8080)
-    cases = []
+    cases = _boundary_fractions()
     for _ in range(60):
         num = {rng.randint(-4, 8): random_motive_frac(rng, 2) for _ in range(rng.randint(1, 4))}
         den = [
@@ -515,6 +569,61 @@ def test_rs_normalize_matches_one_by_one_bytes():
         assert _series_bytes(rs_normalize(num, den)) == _series_bytes(
             _ref_rs_normalize(num, den)
         ), (num, den)
+
+
+def test_proper_slices_write_no_laurent_entry(monkeypatch):
+    # a proper slice's boundary corrections cancel, so it must not write them
+    written = []
+    add_at = RationalSeries._poly_add_at
+
+    def recording(self, i, c):
+        written.append(i)
+        add_at(self, i, c)
+
+    monkeypatch.setattr(RationalSeries, "_poly_add_at", recording)
+    cases = _boundary_fractions() + [
+        (dict(num), list(den)) for num, den in map(arcs._zeta_fraction, _sample_geometries())
+    ]
+    proper_slices = improper_writes = 0
+    for num, den in cases:
+        k, slices = _slices(num, den)
+        d = _lifted_numerator(num, den)[2]
+        written.clear()
+        rs_normalize(num, den)
+        for r, ss in slices.items():
+            if _is_proper(k, ss):
+                proper_slices += 1
+                assert not [i for i in written if i % d == r], (num, den, r)
+        improper_writes += len(written)
+    assert proper_slices > 50 and improper_writes > 50
+
+
+def test_lambda_of_fraction_on_proper_and_improper_zero_slices(monkeypatch):
+    # lambda reads the slice r = 0; a proper one gives zero without being
+    # reduced, an improper one is reduced as rs_normalize reduces it
+    reduced = []
+    reduce = series._reduce_single_step
+
+    def counting(out, num_s, exps, r, d):
+        reduced.append(r)
+        reduce(out, num_s, exps, r, d)
+
+    zero = motive_frac_to_json(series.lambda_functional(RationalSeries()))
+    kinds = set()
+    for num, den in _boundary_fractions():
+        k, slices = _slices(num, den)
+        proper = _is_proper(k, slices.get(0, ()))
+        want = motive_frac_to_json(series.lambda_functional(rs_normalize(num, den)))
+        monkeypatch.setattr(series, "_reduce_single_step", counting)
+        reduced.clear()
+        got = motive_frac_to_json(series.lambda_of_fraction(num, den))
+        monkeypatch.undo()
+        assert got == want, (num, den)
+        assert reduced == ([] if proper else [0]), (num, den)
+        if proper:
+            assert got == zero
+        kinds.add((proper, 0 in slices, got == zero))
+    assert {(True, True, True), (False, True, False)} <= kinds
 
 
 def test_prefix_sums_match_one_by_one_bytes(monkeypatch):

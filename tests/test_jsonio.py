@@ -5,6 +5,7 @@ from fractions import Fraction
 from motivint.arcs import MonomialGeometry, exp_series, zeta_series
 from motivint.characters import Character
 from motivint.gaussring import UElement
+from motivint.motives import MotiveClass
 from motivint.jsonio import (
     character_from_json,
     character_to_json,
@@ -162,3 +163,26 @@ def test_motive_class_to_json_matches_fraction_keyed_encoder():
     for x in fracs:
         assert motive_class_to_json(x.num) == _ref_motive_class_to_json(x.num)
         assert repr(x) == _ref_pretty_frac(x)
+
+
+def test_motive_class_to_json_writes_packed_digits():
+    # a packed class writes its digits straight out; the form must equal
+    # the one read from its term map, zero digits skipped
+    big = (1 << 62) - 1
+    classes = [
+        MotiveClass.zero(),
+        MotiveClass.one(),
+        MotiveClass({(-2, -2): 3, (3, 3): 5}),  # zero digits in between
+        MotiveClass({(-5, -5): -7, (-4, -4): 1, (0, 0): -1}),
+        MotiveClass({(1, 1): big, (2, 2): -big}),  # the largest packed digits
+        MotiveClass({(0, 0): big + 1}),  # a term map: the digit is too large
+        MotiveClass({(0, 0): Fraction(1, 2), (1, 1): 2}),  # a term map: a Fraction
+        MotiveClass({(1, 0): 4, (2, 2): -1}),  # a term map: p != q
+    ]
+    rng = random.Random(26)
+    classes += [random_motive_class(rng, 5) for _ in range(40)]
+    classes += [c * d for c, d in zip(classes[2:5], classes[5:8])]
+    assert {c.v is None for c in classes} == {True, False}
+    for cls in classes:
+        want = [[str(p), str(q), str(c)] for (p, q), c in cls.terms.items()]
+        assert motive_class_to_json(cls) == want, cls
