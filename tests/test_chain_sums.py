@@ -499,13 +499,13 @@ def _sample_geometries():
 
 
 def _slices(num, den):
-    """The lifted exponent count and, per residue r of the common step d,
+    """The lifted exponent count, the common step d and, per residue r,
     the numerator exponents s of the slice num_s."""
     work, exps, d = _lifted_numerator(num, den)
     slices = {}
     for i in work:
         slices.setdefault(i % d, set()).add(i // d)
-    return len(exps), slices
+    return len(exps), d, slices
 
 
 def _is_proper(k, ss):
@@ -529,8 +529,8 @@ def _boundary_fractions():
                 for _ in range(2):
                     num = {}
                     for r in range(d):
-                        # with d > 1 the first slice is proper and the second
-                        # not, or the other way round
+                        # slice r = 0 is proper and the others improper, or
+                        # the other way round, from one case to the next
                         sets = proper_sets if (r == 0) == (len(cases) % 2 == 0) else improper_sets
                         for s in rng.choice(sets):
                             num[(s - neg) * d + r] = random_motive_frac(rng, 1) or MotiveFrac(1)
@@ -541,20 +541,22 @@ def _boundary_fractions():
     return cases
 
 
-def test_boundary_fractions_cover_the_boundary():
-    seen = set()
-    for num, den in _boundary_fractions():
-        k, slices = _slices(num, den)
-        for ss in slices.values():
-            seen |= {s - k for s in ss if s in (k - 1, k)} | {"s = -1" for s in ss if s == -1}
-        if len({_is_proper(k, ss) for ss in slices.values()}) == 2:
-            seen.add("mixed")
-    assert seen == {-1, 0, "s = -1", "mixed"}
-
-
 def test_rs_normalize_matches_one_by_one_bytes():
     rng = random.Random(8080)
     cases = _boundary_fractions()
+    seen = set()
+    for num, den in cases:
+        k, _d, slices = _slices(num, den)
+        for ss in slices.values():
+            if _is_proper(k, ss) and k - 1 in ss:
+                seen.add("proper, s = len(exps) - 1")
+            if k in ss:
+                seen.add("s = len(exps)")
+            if -1 in ss:
+                seen.add("s = -1")
+        if len({_is_proper(k, ss) for ss in slices.values()}) == 2:
+            seen.add("proper and improper slices")
+    assert len(seen) == 4
     for _ in range(60):
         num = {rng.randint(-4, 8): random_motive_frac(rng, 2) for _ in range(rng.randint(1, 4))}
         den = [
@@ -586,8 +588,7 @@ def test_proper_slices_write_no_laurent_entry(monkeypatch):
     ]
     proper_slices = improper_writes = 0
     for num, den in cases:
-        k, slices = _slices(num, den)
-        d = _lifted_numerator(num, den)[2]
+        k, d, slices = _slices(num, den)
         written.clear()
         rs_normalize(num, den)
         for r, ss in slices.items():
@@ -611,7 +612,7 @@ def test_lambda_of_fraction_on_proper_and_improper_zero_slices(monkeypatch):
     zero = motive_frac_to_json(series.lambda_functional(RationalSeries()))
     kinds = set()
     for num, den in _boundary_fractions():
-        k, slices = _slices(num, den)
+        k, _d, slices = _slices(num, den)
         proper = _is_proper(k, slices.get(0, ()))
         want = motive_frac_to_json(series.lambda_functional(rs_normalize(num, den)))
         monkeypatch.setattr(series, "_reduce_single_step", counting)
