@@ -6,13 +6,21 @@ fifth criterion-7 geometry plus 40 twisted ones, and
 ``ts_direct_exp_coefficient`` on the benchmark's four 2-d pairs at orders
 0..30.  The JSON sorts its keys, so one more digest, ``key_order``, pins
 the insertion order of ``poly`` and ``terms`` of every ``exp_series``,
-``measure_series`` and ``zeta_series`` in the sample.  The digests in
-``golden/closed_form_sha256.json`` pin every byte, so a change of
+``measure_series`` and ``zeta_series`` in the sample.  On the same four
+pairs, ``hadamard`` pins the JSON and key order of ``ts_direct_zeta_series``
+(every character) and of ``hadamard(exp_series(l), exp_series(r))``.  The
+digests in ``golden/closed_form_sha256.json`` pin every byte, so a change of
 representation below the JSON must leave them as they are.
 
 Re-record (only for an intended change of output) with::
 
     PYTHONPATH=src:tests python tests/test_corpus.py --record
+
+Print the same digests, plus ``lambda_functional(exp_series)``, on all 2180
+geometries (the 1980 of criterion 7 and 200 twisted ones; several minutes,
+not part of the test run) with::
+
+    PYTHONPATH=src:tests python tests/test_corpus.py --full
 """
 
 from __future__ import annotations
@@ -28,9 +36,12 @@ from motivint.arcs import (
     exp_series,
     measure_series,
     ts_direct_exp_coefficient,
+    ts_direct_zeta_series,
     zeta_series,
 )
-from motivint.jsonio import series_to_json, uelement_to_json
+from motivint.gaussring import UElement
+from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
+from motivint.series import hadamard, lambda_functional
 from motivint.spectra import sg
 
 from helpers import all_geometries, twisted_geometries
@@ -51,35 +62,55 @@ def corpus_geometries() -> list[MonomialGeometry]:
     return list(all_geometries(3, 6))[::5] + twisted_geometries(random.Random(2200), 40)
 
 
-def corpus_digests() -> dict[str, str]:
-    kinds = ("exp_series", "measure_series", "sg", "zeta_series", "key_order")
+def full_geometries() -> list[MonomialGeometry]:
+    return list(all_geometries(3, 6)) + twisted_geometries(random.Random(2), 200)
+
+
+def ts_pairs() -> list[tuple[MonomialGeometry, MonomialGeometry]]:
+    return [(MonomialGeometry.make(*l), MonomialGeometry.make(*r)) for l, r in TS_2D_PAIRS]
+
+
+def _put(h, obj) -> None:
+    h.update(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
+
+
+def closed_form_digests(geometries: list[MonomialGeometry]) -> dict[str, str]:
+    kinds = ("exp_series", "measure_series", "sg", "lambda_exp", "zeta_series", "key_order")
     hashes = {kind: hashlib.sha256() for kind in kinds}
 
-    def put(kind: str, obj) -> None:
-        hashes[kind].update(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-
     def put_keys(s) -> None:
-        put("key_order", [list(s.poly), list(s.terms)])
+        _put(hashes["key_order"], [list(s.poly), list(s.terms)])
 
-    for geom in corpus_geometries():
+    for geom in geometries:
         e, m = exp_series(geom), measure_series(geom)
-        put("exp_series", series_to_json(e, uelement_to_json))
-        put("measure_series", series_to_json(m))
-        put("sg", uelement_to_json(sg(geom)))
+        _put(hashes["exp_series"], series_to_json(e, uelement_to_json))
+        _put(hashes["measure_series"], series_to_json(m))
+        _put(hashes["sg"], uelement_to_json(sg(geom)))
+        lam = lambda_functional(e)  # a MotiveFrac zero when E has no T^0 term
+        lam_json = uelement_to_json if isinstance(lam, UElement) else motive_frac_to_json
+        _put(hashes["lambda_exp"], lam_json(lam))
         put_keys(e)
         put_keys(m)
         for alpha in geom.characters():
             z = zeta_series(geom, alpha)
-            put("zeta_series", [str(alpha), series_to_json(z)])
+            _put(hashes["zeta_series"], [str(alpha), series_to_json(z)])
             put_keys(z)
-    ts = hashlib.sha256()
-    for left, right in TS_2D_PAIRS:
-        left, right = MonomialGeometry.make(*left), MonomialGeometry.make(*right)
+    return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+def corpus_digests() -> dict[str, str]:
+    out = closed_form_digests(corpus_geometries())
+    del out["lambda_exp"]  # a --full digest only
+    ts, had = hashlib.sha256(), hashlib.sha256()
+    for left, right in ts_pairs():
         for i in range(TS_LEVELS + 1):
-            obj = uelement_to_json(ts_direct_exp_coefficient(left, right, i))
-            ts.update(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-    out = {kind: h.hexdigest() for kind, h in hashes.items()}
+            _put(ts, uelement_to_json(ts_direct_exp_coefficient(left, right, i)))
+        for alpha, z in ts_direct_zeta_series(left, right).items():
+            _put(had, [str(alpha), series_to_json(z), list(z.poly), list(z.terms)])
+        e = hadamard(exp_series(left), exp_series(right))
+        _put(had, [series_to_json(e, uelement_to_json), list(e.poly), list(e.terms)])
     out["ts_direct_exp_coefficient"] = ts.hexdigest()
+    out["hadamard"] = had.hexdigest()
     return out
 
 
@@ -90,6 +121,10 @@ def test_closed_form_bytes_match_the_recorded_corpus():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_corpus.py --record")
-    GOLDEN.write_text(json.dumps(corpus_digests(), indent=2, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(json.dumps(corpus_digests(), indent=2, sort_keys=True) + "\n")
+    elif sys.argv[1:] == ["--full"]:
+        geometries = full_geometries()
+        print(json.dumps({"geometries": len(geometries), **closed_form_digests(geometries)}, indent=2))
+    else:
+        sys.exit("usage: test_corpus.py --record | --full")
