@@ -12,7 +12,7 @@ from fractions import Fraction
 from .arcs import MonomialGeometry
 from .characters import Character
 from .gaussring import UElement
-from .motives import MotiveClass, MotiveFrac, _digits
+from .motives import MotiveClass, MotiveFrac
 from .series import RationalSeries
 from .spectra import SpectrumPoly
 
@@ -27,13 +27,8 @@ def character_from_json(text: str) -> Character:
 
 def motive_class_to_json(cls: MotiveClass) -> list:
     # exponents and coefficients are ints or Fractions, whose str is the
-    # rational's text, and terms come in increasing (p, q) order; a packed
-    # class writes its nonzero digits c L^k, lowest first, without a term map
-    if cls.v is None:
-        return [[str(p), str(q), str(c)] for (p, q), c in cls.terms.items()]
-    if not cls.v:
-        return []
-    return [[str(k), str(k), str(c)] for k, c in enumerate(_digits(cls.v), cls.lo) if c]
+    # rational's text, and triples come in increasing (p, q) order
+    return [[str(p), str(q), str(c)] for p, q, c in cls.triples()]
 
 
 def motive_class_from_json(items: list) -> MotiveClass:

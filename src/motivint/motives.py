@@ -58,7 +58,7 @@ class MotiveClass:
     """Finite map (p, q) -> rational coefficient, with p + q an integer per term.
 
     ``terms`` is that map, in increasing (p, q) order; a packed class builds
-    it on each read.
+    it on each read, from ``triples``.
     """
 
     __slots__ = ("v", "lo", "bound", "_terms")
@@ -81,17 +81,19 @@ class MotiveClass:
 
     @property
     def terms(self) -> dict:
+        if self.v is None:
+            return self._terms
+        return {(p, q): c for p, q, c in self.triples()}
+
+    def triples(self) -> list:
+        """The terms as (p, q, c) in increasing (p, q) order; a packed class
+        reads its nonzero digits c L^k, lowest first, and builds no map."""
         v = self.v
         if v is None:
-            return self._terms
-        out = {}
-        if v:
-            k = self.lo
-            for c in _digits(v):
-                if c:
-                    out[k, k] = c
-                k += 1
-        return out
+            return [(p, q, c) for (p, q), c in self._terms.items()]
+        if not v:
+            return []
+        return [(k, k, c) for k, c in enumerate(_digits(v), self.lo) if c]
 
     # -- constructors -------------------------------------------------
 
@@ -231,12 +233,7 @@ class MotiveClass:
 
     def term_count(self) -> int:
         """Number of terms, len(self.terms), without building the map."""
-        if self.v is None:
-            return len(self._terms)
-        if not self.v:
-            return 0
-        digits = _digits(self.v)
-        return len(digits) - digits.count(0)
+        return len(self._terms) if self.v is None else len(self.triples())
 
     def weights(self) -> set:
         """Set of total weights p + q appearing."""
@@ -254,7 +251,7 @@ class MotiveClass:
     def __repr__(self):
         """The text ``zeta --display lpow`` prints: c*L^k for an integral power of L."""
         bits = []
-        for (p, q), c in self.terms.items():
+        for p, q, c in self.triples():
             if p == q and p.denominator == 1:
                 bits.append(f"{c}*L^{p}" if p else f"{c}")
             else:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm
+from operator import neg
 
 from .gaussring import UElement, _coeff
 from .motives import (
@@ -110,6 +111,13 @@ def _poly_compose_affine(p: list, k: int, j: int) -> list:
     return _poly_trim([0 if x is None else x for x in out])
 
 
+def _sub_progression(p: list, a: int, k: int, j: int) -> list:
+    """The term p(n) L^{n a} on n = k m + j: p(k m + j) L^{j a} as a polynomial in m."""
+    if len(p) > 1 and (k != 1 or j):
+        p = _poly_compose_affine(p, k, j)
+    return _poly_trim([_shift(c, j * a) for c in p])
+
+
 def _binom_poly(k: int) -> list[Fraction]:
     """binom(n + k - 1, k - 1) = (n+1)(n+2)...(n+k-1)/(k-1)! as coefficients in n."""
     prod = [Fraction(1)]
@@ -174,14 +182,19 @@ class RationalSeries:
         r_can = r % d
         s0 = (r - r_can) // d
         if s0:
-            # reindex n -> n + s0; boundary corrections land in the Laurent part
-            npoly = _poly_trim([_shift(c, -s0 * a) for c in _poly_compose_affine(npoly, 1, -s0)])
-            for n in range(min(s0, 0), max(s0, 0)):
-                v = _poly_eval(npoly, n)
-                if v:
-                    v = _shift(v, n * a)
-                    self._poly_add_at(n * d + r_can, -v if s0 > 0 else v)
+            npoly = _sub_progression(npoly, a, 1, -s0)
+            self._write_boundary(r_can, d, a, npoly, s0)
         self._merge_term((r_can, d, a), npoly)
+
+    def _write_boundary(self, r: int, d: int, a: int, npoly: list, s: int) -> None:
+        """The Laurent corrections of moving a term's start from n = s to
+        n = 0, given its reindexed polynomial: minus its values at
+        0 <= n < s, or plus those at s <= n < 0."""
+        for n in range(min(s, 0), max(s, 0)):
+            v = _poly_eval(npoly, n)
+            if v:
+                v = _shift(v, n * a)
+                self._poly_add_at(n * d + r, -v if s > 0 else v)
 
     def _merge_term(self, key: tuple, npoly: list) -> None:
         merged = _poly_add(self.terms.get(key, []), npoly)
@@ -202,19 +215,15 @@ class RationalSeries:
         if not isinstance(other, RationalSeries):
             return NotImplemented
         out = RationalSeries()
-        out.poly = dict(self.poly)
-        out.terms = {k: list(v) for k, v in self.terms.items()}
-        for i, c in other.poly.items():
-            out._poly_add_at(i, c)
-        for (r, d, a), npoly in other.terms.items():
-            out._add_term(r, d, a, npoly)
+        for series in (self, other):
+            for i, c in series.poly.items():
+                out._poly_add_at(i, c)
+            for key, npoly in series.terms.items():
+                out._merge_term(key, npoly)
         return out
 
     def __neg__(self) -> "RationalSeries":
-        out = RationalSeries()
-        out.poly = {i: -c for i, c in self.poly.items()}
-        out.terms = {k: [-c for c in v] for k, v in self.terms.items()}
-        return out
+        return self.map_coefficients(neg)
 
     def __sub__(self, other: "RationalSeries") -> "RationalSeries":
         if not isinstance(other, RationalSeries):
@@ -224,15 +233,7 @@ class RationalSeries:
     def scale(self, c) -> "RationalSeries":
         """Multiply every coefficient by a ring element (or number)."""
         c = _coerce(c) if not isinstance(c, (int, Fraction)) else c
-        out = RationalSeries()
-        if not c:
-            return out
-        out.poly = {i: w for i, v in self.poly.items() if (w := v * c)}
-        for k, npoly in self.terms.items():
-            scaled = _poly_scale(npoly, c)
-            if scaled:
-                out.terms[k] = scaled
-        return out
+        return self.map_coefficients(lambda v: v * c)
 
     def map_coefficients(self, fn) -> "RationalSeries":
         out = RationalSeries()
@@ -253,15 +254,7 @@ class RationalSeries:
 
     def coefficient(self, i: int):
         """Coefficient of T^i in the expansion at T = 0."""
-        acc = self.poly.get(i, 0)
-        for (r, d, a), npoly in self.terms.items():
-            if (i - r) % d == 0:
-                n = (i - r) // d
-                if n >= 0:
-                    v = _poly_eval(npoly, n)
-                    if v:
-                        acc = acc + _shift(v, n * a)
-        return _coerce(acc)
+        return _terms_coefficient(self.terms, i, self.poly.get(i, 0), True)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
@@ -289,8 +282,7 @@ class RationalSeries:
         for (r, d, a), npoly in self.terms.items():
             k_ratio = step // d
             for j in range(k_ratio):
-                sub = _poly_trim([_shift(c, j * a) for c in _poly_compose_affine(npoly, k_ratio, j)])
-                out._merge_term((r + j * d, step, a * k_ratio), sub)
+                out._merge_term((r + j * d, step, a * k_ratio), _sub_progression(npoly, a, k_ratio, j))
         return out.terms
 
     def __repr__(self):
@@ -375,11 +367,12 @@ def rs_normalize(num: dict, den: list[tuple[int, int]]) -> RationalSeries:
         return RationalSeries.zero()
     if not exps:
         return RationalSeries(poly=work)
+    slices: dict = {}  # residue r -> num_s, each in the order of work
+    for i, c in work.items():
+        slices.setdefault(i % d, {})[i // d] = c
     out = RationalSeries()
-    for r in range(d):
-        num_s = {(i - r) // d: c for i, c in work.items() if (i - r) % d == 0}
-        if num_s:
-            _reduce_single_step(out, num_s, exps, r, d)
+    for r in sorted(slices):
+        _reduce_single_step(out, slices[r], exps, r, d)
     return out
 
 
@@ -387,10 +380,11 @@ def lambda_of_fraction(num: dict, den: list[tuple[int, int]]):
     """lambda_functional(rs_normalize(num, den)), without building the series.
 
     A canonical term has offset 0 <= r < d, so lambda is the T^0 coefficient
-    of the Laurent part, which only the residue class r = 0 of the common
-    step can write.  A proper slice writes none (_reduce_single_step), so
-    lambda is zero; an improper one runs the same operations in the same
-    order as in rs_normalize, so the value is identical, denominators included.
+    of the Laurent part, which only the boundary values of the residue
+    slice r = 0 of the common step can write.  A proper slice writes none
+    (_reduce_single_step), so lambda is zero; an improper one is reduced by
+    the same operations in the same order as in rs_normalize, so the value is
+    identical, denominators included.
     """
     work, exps, d = _lifted_numerator(num, den, residue_zero=True)
     if not exps:
@@ -405,23 +399,22 @@ def lambda_of_fraction(num: dict, den: list[tuple[int, int]]):
 def _reduce_single_step(out: RationalSeries, num_s: dict, exps: list, r: int, d: int) -> None:
     """Partial fractions of num_s(S) / prod (1 - L^A S) at step d, offset r.
 
-    Each entry c S^s of a leaf is reindexed to n >= 0.  A slice is proper when
-    0 <= s < len(exps) for every s: then the leaves' quasi-polynomials give
-    the coefficient of S^n for every n >= 0, so the boundary corrections of
-    _add_term, at n d + r for n < s where no other slice writes, cancel and
-    are skipped.
+    ``exps`` is sorted.  Each entry c S^s of a leaf is reindexed to start at
+    n = 0 and merged into the terms.  A slice is proper when 0 <= s <
+    len(exps) for every s: then the leaves' quasi-polynomials give the
+    coefficient of S^n for every n >= 0, so the boundary values of the
+    reindexing, at n d + r for n < s where no other slice writes, cancel and
+    are not written.  An improper slice writes them (_write_boundary) before
+    each merge.
     """
     proper = all(0 <= s < len(exps) for s in num_s)
-    for a, base, mult in _partial_fractions(tuple(sorted(exps))):
+    for a, base, mult in _partial_fractions(tuple(exps)):
         for s, c in num_s.items():
             c = c if mult is None else c * mult
-            npoly = [c * x for x in base]
+            npoly = _sub_progression([c * x for x in base], a, 1, -s)
             if not proper:
-                out._add_term(s * d + r, d, a, npoly)
-                continue
-            if s and len(npoly) > 1:
-                npoly = _poly_compose_affine(npoly, 1, -s)
-            out._merge_term((r, d, a), _poly_trim([_shift(x, -s * a) for x in npoly]))
+                out._write_boundary(r, d, a, npoly, s)
+            out._merge_term((r, d, a), npoly)
 
 
 @lru_cache(maxsize=1024)
@@ -472,14 +465,18 @@ class TwoSidedExpansion:
         self.terms = terms
 
     def coefficient(self, i: int):
-        acc = 0
-        for (r, d, a), npoly in self.terms.items():
-            if (i - r) % d == 0:
-                n = (i - r) // d
-                v = _poly_eval(npoly, n)
-                if v:
-                    acc = acc + _shift(v, n * a)
-        return _coerce(acc)
+        return _terms_coefficient(self.terms, i, 0, False)
+
+
+def _terms_coefficient(terms: dict, i: int, acc, from_zero: bool):
+    """acc plus the terms' coefficient of T^i, read at n >= 0 only or at every n."""
+    for (r, d, a), npoly in terms.items():
+        n, rem = divmod(i - r, d)
+        if not rem and (n >= 0 or not from_zero):
+            v = _poly_eval(npoly, n)
+            if v:
+                acc = acc + _shift(v, n * a)
+    return _coerce(acc)
 
 
 def tau(series: RationalSeries) -> TwoSidedExpansion:
@@ -509,10 +506,7 @@ def hadamard(phi: RationalSeries, psi: RationalSeries) -> RationalSeries:
             i0, step = sol
             k1, j1 = step // d1, (i0 - r1) // d1
             k2, j2 = step // d2, (i0 - r2) // d2
-            q = _poly_mul(
-                _poly_compose_affine(p1, k1, j1), _poly_compose_affine(p2, k2, j2)
-            )
-            q = _poly_trim([_shift(c, j1 * a1 + j2 * a2) for c in q])
+            q = _poly_mul(_sub_progression(p1, a1, k1, j1), _sub_progression(p2, a2, k2, j2))
             if q:
                 out._add_term(i0, step, k1 * a1 + k2 * a2, q)
     return out
@@ -633,7 +627,7 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
             const = -_shift(_poly_eval(q, -1), -a)
         plain = _poly_trim(list(q))
         # offsets rho < r read the lagged sum; with r = 0 there are none
-        lagged = _poly_trim([_shift(x, -a) for x in _poly_compose_affine(q, 1, -1)]) if r else []
+        lagged = _sub_progression(q, a, 1, -1) if r else []
         parts.append((r, d, a, plain, lagged, const))
     out = _grouped_prefix_sums(series.poly, parts)
     if out is None:
