@@ -17,8 +17,8 @@ Re-record (only for an intended change of output) with::
     PYTHONPATH=src:tests python tests/test_corpus.py --record
 
 Print the same digests, plus ``lambda_functional(exp_series)``, on all 2180
-geometries (the 1980 of criterion 7 and 200 twisted ones; several minutes,
-not part of the test run) with::
+geometries (the 1980 of criterion 7 and 200 twisted ones; about half a
+minute, not part of the test run) with::
 
     PYTHONPATH=src:tests python tests/test_corpus.py --full
 """
@@ -67,7 +67,7 @@ def full_geometries() -> list[MonomialGeometry]:
 
 
 def ts_pairs() -> list[tuple[MonomialGeometry, MonomialGeometry]]:
-    return [(MonomialGeometry.make(*l), MonomialGeometry.make(*r)) for l, r in TS_2D_PAIRS]
+    return [(MonomialGeometry.make(*left), MonomialGeometry.make(*right)) for left, right in TS_2D_PAIRS]
 
 
 def _put(h, obj) -> None:
