@@ -40,11 +40,7 @@ def _coerce(c):
 
 def _shift(c, k: int):
     """Multiply a ring element by L^k via the cheap grading shift."""
-    if not k or not c:
-        return c
-    if isinstance(c, (MotiveFrac, UElement)):
-        return c.mul_lpow(k)
-    return _coerce(c).mul_lpow(k)
+    return c.mul_lpow(k) if k and c else c
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +504,7 @@ def hadamard(phi: RationalSeries, psi: RationalSeries) -> RationalSeries:
             k2, j2 = step // d2, (i0 - r2) // d2
             q = _poly_mul(_sub_progression(p1, a1, k1, j1), _sub_progression(p2, a2, k2, j2))
             if q:
-                out._add_term(i0, step, k1 * a1 + k2 * a2, q)
+                out._merge_term((i0, step, k1 * a1 + k2 * a2), q)
     return out
 
 
@@ -531,7 +527,8 @@ def lambda_functional(series: RationalSeries):
     That expansion is the Laurent part minus the tau-extension of each term
     to n < 0.  A canonical term meets T^0 only at n0 = -r/d, and its offset
     satisfies 0 <= r < d, so n0 is never negative: the constant term is the
-    Laurent part's T^0 coefficient.
+    Laurent part's T^0 coefficient.  Without a T^0 entry, as on the zero
+    series, which carries no ring to read, it is the MotiveFrac zero.
     """
     return _coerce(series.poly.get(0, 0))
 
@@ -606,15 +603,23 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
     Requires the support to be bounded below (true for every canonical
     series) and represents sums from the bottom of the support; closed
     form per term via geometric partial sums, Faulhaber polynomials for
-    the L^0 direction.  A term (r, d, a) adds its polynomial to every
-    offset rho < d of the same (d, a); the Laurent part and the constants
-    of the geometric sums are added at (0, 1, 0).  Each (d, a) group of
-    additions is summed at once (_grouped_prefix_sums); when a group
-    declines, the series is built one addition at a time.
+    the L^0 direction.  The sums are one list of additions (d, a, r, plain,
+    lagged), in the order of one-by-one addition: a term (r, d, a) adds
+    plain at the offsets rho >= r of (d, a) and lagged at rho < r, and a
+    Laurent entry c T^i and the constant -L^{-a} q(-1) of a geometric sum
+    each add (1, 0, 0, [c], []).  c T^i is the term (i, 1, 0, [c]) moved
+    to start at n = 0, so its Laurent corrections, -c at T^0 ... T^{i-1},
+    are written first (_write_boundary).  Each (d, a) group of additions
+    is summed at once (_grouped_prefix_sums); when a group declines, the
+    same additions are merged one at a time.
     """
     if any(i < 0 for i in series.poly):
         raise ValueError("prefix sums need support in nonnegative degrees")
-    parts = []
+    out = RationalSeries()
+    adds = []
+    for i, c in series.poly.items():
+        out._write_boundary(0, 1, 0, [c], i)
+        adds.append((1, 0, 0, [c], []))
     for (r, d, a), npoly in series.terms.items():
         if a == 0:
             q: list = []
@@ -625,22 +630,19 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
         else:
             q = _geometric_prefix_poly(npoly, a)
             const = -_shift(_poly_eval(q, -1), -a)
-        plain = _poly_trim(list(q))
         # offsets rho < r read the lagged sum; with r = 0 there are none
-        lagged = _sub_progression(q, a, 1, -1) if r else []
-        parts.append((r, d, a, plain, lagged, const))
-    out = _grouped_prefix_sums(series.poly, parts)
-    if out is None:
-        out = RationalSeries()
-        for i, c in series.poly.items():
-            out._add_term(i, 1, 0, [c])
-        for r, d, a, plain, lagged, const in parts:
-            for rho in range(d):
-                shifted = lagged if rho < r else plain
-                if shifted:
-                    out._add_term(rho, d, a, shifted)
-            if const:
-                out._add_term(0, 1, 0, [const])
+        adds.append((d, a, r, q, _sub_progression(q, a, 1, -1) if r else []))
+        if const:
+            adds.append((1, 0, 0, [const], []))
+    terms = _grouped_prefix_sums(adds)
+    if terms is not None:
+        out.terms = terms
+        return out
+    for d, a, r, plain, lagged in adds:
+        for rho in range(d):
+            shifted = lagged if rho < r else plain
+            if shifted:
+                out._merge_term((rho, d, a), shifted)
     return out
 
 
@@ -661,44 +663,31 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
 # motives._normal turns a sum back into a class.
 
 
-def _grouped_prefix_sums(poly: dict, parts: list):
-    """prefix_sums with each (d, a) group summed at once by _staircase, or
-    None when a group declines.
+def _grouped_prefix_sums(adds: list):
+    """The terms of prefix_sums from its additions (d, a, r, plain, lagged),
+    each (d, a) group summed at once by _staircase, or None when a group
+    declines.
 
     One by one, a key enters its dict at its first nonzero addition and
     leaves it only when its sum empties; the staircase declines when a sum
     empties on the way and ends nonzero, so the keys keep the order of
-    their first additions: the Laurent entries first, then part by part, a
-    part's own keys in rho order before the constant key (0, 1, 0).  A
-    Laurent entry c T^i adds c at (0, 1, 0) and -c at T^0 ... T^{i-1},
-    which are written directly.
+    their first additions: by the index in ``adds`` of that addition, then
+    by rho.
     """
-    groups: dict = {}  # (d, a) -> additions (r, plain, lagged), in order
-    tags: dict = {}  # (d, a) -> per addition, (part index, 0 own or 1 constant)
-    for c in poly.values():
-        groups.setdefault((1, 0), []).append((0, [c], []))
-        tags.setdefault((1, 0), []).append((-1, 0))
-    for n, (r, d, a, plain, lagged, const) in enumerate(parts):
-        groups.setdefault((d, a), []).append((r, plain, lagged))
-        tags.setdefault((d, a), []).append((n, 0))
-        if const:
-            groups.setdefault((1, 0), []).append((0, [const], []))
-            tags.setdefault((1, 0), []).append((n, 1))
-    sums: dict = {}  # (rho, d, a) -> (position of its first addition, polynomial)
-    for (d, a), items in groups.items():
+    groups: dict = {}  # (d, a) -> (indices in adds, items (r, plain, lagged)), in order
+    for n, (d, a, r, plain, lagged) in enumerate(adds):
+        index, items = groups.setdefault((d, a), ([], []))
+        index.append(n)
+        items.append((r, plain, lagged))
+    sums: dict = {}  # (index of its first addition, rho) -> (key, polynomial)
+    for (d, a), (index, items) in groups.items():
         group = _staircase(items, d)
         if group is None:
             return None
-        tag = tags[(d, a)]
         for rho, (first, npoly) in group.items():
-            sums[(rho, d, a)] = ((*tag[first], rho), npoly)
-    out = RationalSeries()
-    for i, c in poly.items():
-        for n in range(i):
-            out._poly_add_at(n, -c)
-    ordered = sorted(sums.items(), key=lambda item: item[1][0])
-    out.terms = {key: npoly for key, (_first, npoly) in ordered if npoly}
-    return out
+            if npoly:
+                sums[(index[first], rho)] = ((rho, d, a), npoly)
+    return dict(sums[k] for k in sorted(sums))
 
 
 def _reach(plain: list, lagged: list, op, unit) -> list:

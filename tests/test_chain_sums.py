@@ -1,9 +1,10 @@
 """Closed forms assembled by chain sums against one-by-one addition.
 
-``prefix_sums`` sums each (d, a) group of its additions at once with one
+``prefix_sums`` writes its additions down as one list, in the order of
+one-by-one addition, and sums each (d, a) group of them at once with one
 routine, ``series._staircase``, which adds each coefficient slot exactly over
-one common denominator, on ints when the slot's numerators pack, and builds
-the whole series one addition at a time when a group declines;
+one common denominator, on ints when the slot's numerators pack; when a
+group declines, it merges the same additions one at a time;
 ``rs_normalize`` and ``_geometric_prefix_poly`` solve partial fractions and
 geometric prefix sums in fewer operations.  The reference functions below
 add one coefficient at a time, in the original order, with their own
@@ -29,11 +30,13 @@ from motivint.series import (
     _geometric_prefix_poly,
     _lifted_numerator,
     _staircase,
+    hadamard,
     prefix_sums,
     rs_normalize,
 )
 
 from helpers import all_geometries, clear_caches, random_motive_frac, twisted_geometries
+from test_corpus import ts_pairs
 
 
 def _series_bytes(s: RationalSeries, coeff_to_json=motive_frac_to_json):
@@ -455,10 +458,20 @@ def test_grouped_key_order_matches_one_by_one():
             )
             const = random_motive_frac(rng, 2) if rng.random() < 0.4 else None
             parts.append((rng.randrange(d), d, a, plain, lagged, const))
-        got = series._grouped_prefix_sums(poly, parts)
-        if got is None:
+        # the additions of prefix_sums, in one-by-one order
+        adds = [(1, 0, 0, [c], []) for c in poly.values()]
+        for r, d, a, plain, lagged, const in parts:
+            adds.append((d, a, r, plain, lagged))
+            if const:
+                adds.append((1, 0, 0, [const], []))
+        terms = series._grouped_prefix_sums(adds)
+        if terms is None:
             continue
         summed += 1
+        got = RationalSeries()
+        for i, c in poly.items():
+            got._write_boundary(0, 1, 0, [c], i)
+        got.terms = terms
         assert _series_bytes(got) == _series_bytes(_ref_grouped(poly, parts)), parts
     assert summed > 120, summed
 
@@ -627,17 +640,28 @@ def test_lambda_of_fraction_on_proper_and_improper_zero_slices(monkeypatch):
     assert {(True, True, True), (False, True, False)} <= kinds
 
 
-def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
-    rng = random.Random(6060)
-    cases = []
+def _random_fractions(rng):
+    """rs_normalize of 25 random fractions, steps up to 6."""
+    out = []
     for _ in range(25):
         num = {rng.randint(0, 5): random_motive_frac(rng, 2) for _ in range(rng.randint(1, 3))}
         den = [(rng.randint(-2, 3), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
-        cases.append(rs_normalize(num, den))
-    heads = []
-    for geom in _sample_geometries():
-        head = RationalSeries(poly={1: arcs.measure_total(geom)})
-        heads.append(head - arcs.zeta_series(geom, Character.trivial()))
+        out.append(rs_normalize(num, den))
+    return out
+
+
+def _measure_heads():
+    """M0 T - Z(T) on _sample_geometries(): what measure_series sums."""
+    return [
+        RationalSeries(poly={1: arcs.measure_total(geom)}) - arcs.zeta_series(geom, Character.trivial())
+        for geom in _sample_geometries()
+    ]
+
+
+def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
+    rng = random.Random(6060)
+    cases = _random_fractions(rng)
+    heads = _measure_heads()
     cases += heads
     # at (0, 1, 0), the Laurent entry x T and the constant of the geometric
     # sum of (0, 1, 1) cancel, and the constant of (0, 1, 2) brings the key
@@ -666,8 +690,8 @@ def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
     grouped = series._grouped_prefix_sums
     declines = []
 
-    def counting(poly, parts):
-        out = grouped(poly, parts)
+    def counting(adds):
+        out = grouped(adds)
         declines.append(out is None)
         return out
 
@@ -675,3 +699,25 @@ def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
     for s in heads:
         prefix_sums(s)
     assert len(declines) == len(heads) and not any(declines)
+
+
+def test_prefix_sums_and_hadamard_merge_canonical_terms(monkeypatch):
+    # every addition of prefix_sums and every product term of hadamard
+    # already has an offset 0 <= r < d, so neither folds a term through
+    # _add_term; with every group declining, the same additions merged one
+    # at a time give the grouped bytes and key order
+    cases = _random_fractions(random.Random(6060)) + _measure_heads()
+    exps = [arcs.exp_series(geom) for geom in _sample_geometries()[::4]]
+    pairs = [(arcs.exp_series(left), arcs.exp_series(right)) for left, right in ts_pairs()]
+    grouped = [_series_bytes(prefix_sums(s)) for s in cases]
+
+    def refuse(*args):
+        raise AssertionError("a term folded through _add_term")
+
+    monkeypatch.setattr(RationalSeries, "_add_term", refuse)
+    for s in cases + exps:
+        prefix_sums(s)
+    for left, right in pairs:
+        hadamard(left, right)
+    monkeypatch.setattr(series, "_grouped_prefix_sums", lambda adds: None)
+    assert [_series_bytes(prefix_sums(s)) for s in cases] == grouped

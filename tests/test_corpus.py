@@ -16,11 +16,14 @@ Re-record (only for an intended change of output) with::
 
     PYTHONPATH=src:tests python tests/test_corpus.py --record
 
-Print the same digests, plus ``lambda_functional(exp_series)``, on all 2180
+Check the same digests, plus ``lambda_functional(exp_series)``, on all 2180
 geometries (the 1980 of criterion 7 and 200 twisted ones; about half a
-minute, not part of the test run) with::
+minute, not part of the test run) against ``golden/closed_form_full_sha256.json``
+with::
 
     PYTHONPATH=src:tests python tests/test_corpus.py --full
+
+It exits 1 and prints both sets of digests when they differ.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from motivint.spectra import sg
 from helpers import all_geometries, twisted_geometries
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "closed_form_sha256.json"
+GOLDEN_FULL = GOLDEN.with_name("closed_form_full_sha256.json")
 
 # the benchmark's 2-d twisted pairs (bench/benchlib/inputs._TS_2D_PAIRS)
 TS_2D_PAIRS = (
@@ -125,6 +129,12 @@ if __name__ == "__main__":
         GOLDEN.write_text(json.dumps(corpus_digests(), indent=2, sort_keys=True) + "\n")
     elif sys.argv[1:] == ["--full"]:
         geometries = full_geometries()
-        print(json.dumps({"geometries": len(geometries), **closed_form_digests(geometries)}, indent=2))
+        got = {"geometries": len(geometries), **closed_form_digests(geometries)}
+        want = json.loads(GOLDEN_FULL.read_text())
+        if got != want:
+            print("recorded:", json.dumps(want, indent=2, sort_keys=True))
+            print("computed:", json.dumps(got, indent=2, sort_keys=True))
+            sys.exit(1)
+        print(f"all {len(geometries)} geometries match {GOLDEN_FULL.name}")
     else:
         sys.exit("usage: test_corpus.py --record | --full")
