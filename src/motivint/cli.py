@@ -122,7 +122,7 @@ def cmd_exp_series(args) -> int:
     series = exp_series(geom)
     payload = {
         "geometry": geometry_to_json(geom),
-        "series": series_to_json(series, uelement_to_json),
+        "series": series_to_json(series),
     }
     _emit(payload, args.output)
     return 0

@@ -67,10 +67,19 @@ def uelement_from_json(obj: dict) -> UElement:
     )
 
 
-def series_to_json(series: RationalSeries, coeff_to_json=motive_frac_to_json) -> dict:
+def _coeff_to_json(c) -> dict:
+    return uelement_to_json(c) if isinstance(c, UElement) else motive_frac_to_json(c)
+
+
+def _coeff_from_json(obj: dict):
+    return uelement_from_json(obj) if "scalar" in obj else motive_frac_from_json(obj)
+
+
+def series_to_json(series: RationalSeries) -> dict:
     """Series JSON; each arithmetic term is flattened per power of n, so every
-    emitted entry has a plain rational polynomial f and a ring coefficient c."""
-    poly = [[i, coeff_to_json(series.poly[i])] for i in sorted(series.poly)]
+    emitted entry has a plain rational polynomial f and a ring coefficient c,
+    written as a UElement or a MotiveFrac after its own type."""
+    poly = [[i, _coeff_to_json(series.poly[i])] for i in sorted(series.poly)]
     terms = []
     for (r, d, a) in sorted(series.terms):
         npoly = series.terms[(r, d, a)]
@@ -82,17 +91,18 @@ def series_to_json(series: RationalSeries, coeff_to_json=motive_frac_to_json) ->
                     "r": r,
                     "d": d,
                     "a": a,
-                    "c": coeff_to_json(c),
+                    "c": _coeff_to_json(c),
                     "f": ["0"] * j + ["1"],
                 }
             )
     return {"poly": poly, "terms": terms}
 
 
-def series_from_json(obj: dict, coeff_from_json=motive_frac_from_json) -> RationalSeries:
-    out = RationalSeries(poly={int(i): coeff_from_json(c) for i, c in obj["poly"]})
+def series_from_json(obj: dict) -> RationalSeries:
+    """The inverse of series_to_json; a coefficient with a "scalar" key is a UElement."""
+    out = RationalSeries(poly={int(i): _coeff_from_json(c) for i, c in obj["poly"]})
     for entry in obj["terms"]:
-        c = coeff_from_json(entry["c"])
+        c = _coeff_from_json(entry["c"])
         npoly = [c * Fraction(f) for f in entry["f"]]
         out._add_term(int(entry["r"]), int(entry["d"]), int(entry["a"]), npoly)
     return out

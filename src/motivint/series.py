@@ -823,24 +823,7 @@ def expand_fraction(num: dict, den: list, i_min: int, i_max: int) -> list:
 
 
 def expand_fraction_at_infinity(num: dict, den: list, i_min: int, i_max: int) -> list:
-    """Long-division expansion at T = infinity of num / prod (1 - L^a T^b)."""
-    work = {int(i): v for i, c in num.items() if (v := _coerce(c))}
-    for (a, b) in den:
-        if b < 0:
-            work = {i - b: -_shift(c, -a) for i, c in work.items()}
-            a, b = -a, -b
-        # 1/(1 - L^a T^b) = -L^{-a} T^{-b} / (1 - L^{-a} T^{-b}) around infinity
-        work = {i - b: -_shift(c, -a) for i, c in work.items()}
-        if not work:
-            break
-        hi = max(work)
-        q: dict = {}
-        for i in range(hi, i_min - 1, -1):
-            v = work.get(i, 0)
-            prev = q.get(i + b, 0)
-            if prev:
-                v = v + _shift(prev, -a)
-            if v:
-                q[i] = v
-        work = q
-    return [_coerce(work.get(i, 0)) for i in range(i_min, i_max + 1)]
+    """Long-division expansion at T = infinity of num / prod (1 - L^a T^b): the
+    expansion at U = 0 of the same fraction in U = 1/T, read backwards."""
+    num_u = {-int(i): c for i, c in num.items()}
+    return expand_fraction(num_u, [(a, -b) for (a, b) in den], -i_max, -i_min)[::-1]

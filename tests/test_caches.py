@@ -46,6 +46,7 @@ def test_every_cache_is_a_bounded_lru_cache():
         "motives._product",
         "oracles._dlog_table",
         "oracles._gauss_sum",
+        "oracles._primitive_root",
         "oracles._psi_table",
     ):
         assert f"motivint.{name}" in caches
@@ -60,8 +61,8 @@ def test_every_cache_is_a_bounded_lru_cache():
     assert not dict_caches
 
 
-def _series_bytes(s, coeff_to_json=motive_frac_to_json) -> str:
-    return json.dumps([series_to_json(s, coeff_to_json), list(s.poly), list(s.terms)])
+def _series_bytes(s) -> str:
+    return json.dumps([series_to_json(s), list(s.poly), list(s.terms)])
 
 
 def _outputs(geom, between) -> list[str]:
@@ -71,7 +72,7 @@ def _outputs(geom, between) -> list[str]:
     stages = (
         lambda: json.dumps(motive_frac_to_json(measure_gt(geom, 40))),
         lambda: _series_bytes(measure_series(geom)),
-        lambda: _series_bytes(exp_series(geom), uelement_to_json),
+        lambda: _series_bytes(exp_series(geom)),
         lambda: json.dumps(uelement_to_json(sg(geom))),
         lambda: json.dumps([
             [i, uelement_to_json(product), uelement_to_json(direct), equal]

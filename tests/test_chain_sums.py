@@ -21,7 +21,7 @@ from math import comb
 from motivint import arcs, series
 from motivint.arcs import MonomialGeometry
 from motivint.characters import Character
-from motivint.jsonio import motive_frac_to_json, series_to_json, uelement_to_json
+from motivint.jsonio import motive_frac_to_json, series_to_json
 from motivint.motives import MotiveClass, MotiveFrac, _multiset_union
 from motivint.series import (
     RationalSeries,
@@ -39,8 +39,8 @@ from helpers import all_geometries, clear_caches, random_motive_frac, twisted_ge
 from test_corpus import ts_pairs
 
 
-def _series_bytes(s: RationalSeries, coeff_to_json=motive_frac_to_json):
-    return json.dumps(series_to_json(s, coeff_to_json)), list(s.poly), list(s.terms)
+def _series_bytes(s: RationalSeries):
+    return json.dumps(series_to_json(s)), list(s.poly), list(s.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +682,7 @@ def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
     # Gauss-ring coefficients are not MotiveFracs: one-by-one addition throughout
     for geom in _sample_geometries()[::4]:
         s = arcs.exp_series(geom)
-        assert _series_bytes(prefix_sums(s), uelement_to_json) == _series_bytes(
-            _ref_prefix_sums(s), uelement_to_json
-        )
+        assert _series_bytes(prefix_sums(s)) == _series_bytes(_ref_prefix_sums(s))
     # the grouped sums never decline on the geometries' measure heads, so
     # real inputs stay off the one-by-one fallback
     grouped = series._grouped_prefix_sums

@@ -610,13 +610,13 @@ def test_thom_sebastiani_check_exit_code_on_mismatch(tmp_path, capsys, monkeypat
 
 
 def test_emitted_json_reparses(tmp_path, capsys):
-    from motivint.jsonio import series_from_json, uelement_from_json
+    from motivint.jsonio import series_from_json
     from motivint.arcs import MonomialGeometry, exp_series
 
     geom_path = write_geom(tmp_path, "x2.json", X2)
     code, payload = run_cli(capsys, "exp-series", "--geometry", geom_path)
     assert code == 0
-    back = series_from_json(payload["series"], uelement_from_json)
+    back = series_from_json(payload["series"])
     geom = MonomialGeometry.make(1, [2], None, [1])
     assert back == exp_series(geom)
 

@@ -87,7 +87,7 @@ def closed_form_digests(geometries: list[MonomialGeometry]) -> dict[str, str]:
 
     for geom in geometries:
         e, m = exp_series(geom), measure_series(geom)
-        _put(hashes["exp_series"], series_to_json(e, uelement_to_json))
+        _put(hashes["exp_series"], series_to_json(e))
         _put(hashes["measure_series"], series_to_json(m))
         _put(hashes["sg"], uelement_to_json(sg(geom)))
         lam = lambda_functional(e)  # a MotiveFrac zero when E has no T^0 term
@@ -112,7 +112,7 @@ def corpus_digests() -> dict[str, str]:
         for alpha, z in ts_direct_zeta_series(left, right).items():
             _put(had, [str(alpha), series_to_json(z), list(z.poly), list(z.terms)])
         e = hadamard(exp_series(left), exp_series(right))
-        _put(had, [series_to_json(e, uelement_to_json), list(e.poly), list(e.terms)])
+        _put(had, [series_to_json(e), list(e.poly), list(e.terms)])
     out["ts_direct_exp_coefficient"] = ts.hexdigest()
     out["hadamard"] = had.hexdigest()
     return out

@@ -8,7 +8,7 @@ import pytest
 
 from motivint import oracles
 from motivint.invariants import gauss_jacobi_residue
-from motivint.limits import MAX_ENUMERATION_POINTS, check_enumeration
+from motivint.limits import MAX_ENUMERATION_POINTS, check_character_sums, check_enumeration
 from motivint.oracles import (
     PadicContext,
     ResidueCharacter,
@@ -278,10 +278,70 @@ def test_character_sums_match_value_formulas_bit_for_bit():
                 assert _char_sum(weights, alpha, p, i) == want
 
 
+def _admitted_moduli():
+    """(p, L) for every odd prime p <= 53 and every L >= 1 with the characters
+    mod p^L admitted by check_character_sums (as those of a level L - 1)."""
+    out = []
+    for p in range(3, 54, 2):
+        if not oracles._is_prime(p):
+            continue
+        level = 1
+        while True:
+            try:
+                check_character_sums(p, level - 1)
+            except ValueError:
+                break
+            out.append((p, level))
+            level += 1
+    return out
+
+
 def test_characters_mod_matches_reference():
-    for p, levels in ((3, (1, 2, 3, 4)), (5, (1, 2, 3)), (7, (1, 2, 3)), (11, (1, 2))):
-        for level in levels:
-            assert characters_mod(p, level) == _ref_characters_mod(p, level)
+    for p, level in _admitted_moduli():
+        assert characters_mod(p, level) == _ref_characters_mod(p, level)
+
+
+def test_characters_mod_by_values():
+    # the k-th character takes the k-th root of unity at the primitive root
+    # mod p^L, so the list holds every character once; a character of
+    # conductor c >= 2 is nontrivial on the kernel of reduction to p^(c-1)
+    seen = 0
+    for p, level in _admitted_moduli():
+        g = _primitive_root(p, level)
+        phi = (p - 1) * p ** (level - 1)
+        chars = characters_mod(p, level)
+        assert len(chars) == phi
+        for k, alpha in enumerate(chars):
+            assert abs(alpha.value(g) - cmath.exp(2j * math.pi * k / phi)) < TOL, (p, level, k)
+            c = alpha.conductor
+            if c >= 2:
+                assert abs(alpha.value(1 + p ** (c - 1)) - 1) > 1e-6, (p, level, k)
+        seen += len(chars)
+    assert seen == 24124
+
+
+def test_character_products_match_products_of_values():
+    # at p = 40487 the least primitive root mod p, 5, is not one mod p^2, whose
+    # least is 10: the product drops to conductor 1 and must keep its value at 10
+    p = 40487
+    assert (_primitive_root(p, 1), _primitive_root(p, 2)) == (5, 10)
+    prod = ResidueCharacter(p, 2, 1) * ResidueCharacter(p, 2, p - 1)
+    assert prod.conductor == 1
+    assert abs(prod.value(10) - cmath.exp(2j * math.pi / (p - 1))) < TOL
+    rng = random.Random(4048)
+    for p in (3, 5, 7):
+        for c in (2, 3):
+            phi = (p - 1) * p ** (c - 1)
+            units = [v for v in range(1, p**c) if v % p]
+            for drop in range(1, c):
+                for _ in range(6):
+                    i1 = rng.choice([i for i in range(phi) if i % p])
+                    i2 = (-i1 + p**drop * rng.randrange(phi)) % phi
+                    a, b = ResidueCharacter(p, c, i1), ResidueCharacter(p, c, i2)
+                    ab = a * b
+                    assert ab.conductor < c, (p, c, i1, i2)
+                    for v in units:
+                        assert abs(ab.value(v) - a.value(v) * b.value(v)) < TOL, (p, c, i1, i2, v)
 
 
 # ---------------------------------------------------------------------------
