@@ -390,25 +390,23 @@ def ts_direct_zeta_series(left: MonomialGeometry, right: MonomialGeometry) -> di
         value = off_l if _passes(left, alpha) else RationalSeries.zero()
         if _passes(right, alpha):
             value = value + off_r
-        fsum = _diag_fermat_sum(left, right, alpha)
+        seed, fsum = zz, _diag_fermat_sum(left, right, alpha)
         if fsum:
-            value = value + zz.scale(MotiveFrac(fsum, [(1, 0)]))
+            diag = zz.scale(MotiveFrac(fsum, [(1, 0)]))
+            value, seed = value + diag, zz - diag
         if alpha.is_trivial():
-            value = value + _diag_tail(left, right, zz)
+            value = value + _diag_tail(seed)
         out[alpha] = value
     return out
 
 
-def _diag_tail(
-    left: MonomialGeometry, right: MonomialGeometry, zz: RationalSeries
-) -> RationalSeries:
-    """Sum over 0 < k < i of _diag_tail_seed(k) (L-1) L^{k-i} at T^i, given zz = Z_l * Z_r.
+def _diag_tail(seed: RationalSeries) -> RationalSeries:
+    """Sum over 0 < k < i of _diag_tail_seed(k) (L-1) L^{k-i} at T^i, given the
+    seed series Z_l * Z_r less its trivial diagonal part.
 
     With S the seed series at L T, the sum is the prefix sums of S less S, taken
     back at T / L.
     """
-    fsum = _diag_fermat_sum(left, right, Character.trivial())
-    seed = zz - zz.scale(MotiveFrac(fsum, [(1, 0)]))
     lifted = twist(seed, 1)
     return twist(prefix_sums(lifted) - lifted, -1).scale(MotiveClass.lpow(1) - 1)
 

@@ -29,7 +29,15 @@ from .oracles import (
 )
 from .polyparse import parse_poly
 from .series import hadamard, lambda_functional, rs_normalize, tau
-from .spectra import brieskorn_oracle, brieskorn_sg, s_phi, sg, sp_from_sg
+from .spectra import (
+    brieskorn_oracle,
+    brieskorn_sg,
+    s_phi,
+    sg,
+    sg_direct_product,
+    sp,
+    sp_from_sg,
+)
 
 # ---------------------------------------------------------------------------
 # random inputs shared by both scales
@@ -212,6 +220,16 @@ def brieskorn_spectra(exponent_lists):
     return None
 
 
+def spectrum_product(pairs):
+    """The spectrum of f (+) f' read off the SG of the direct stratum path,
+    which takes no Gauss-ring product, equals sp(f) * sp(f'), on each
+    origin-supported, untwisted pair."""
+    for left, right in pairs:
+        if sp_from_sg(sg_direct_product(left, right), left.m + right.m) != sp(left) * sp(right):
+            return left, right
+    return None
+
+
 def smooth_vanishing(chars):
     """For f = x the exponential series, SG and every s_phi vanish."""
     smooth = MonomialGeometry.make(1, [1], None, [1])
@@ -262,6 +280,10 @@ def _line(a: int, twist: int = 0) -> MonomialGeometry:
     return MonomialGeometry.make(1, [a], [twist], [1])
 
 
+def _origin(exps) -> MonomialGeometry:
+    return MonomialGeometry.make(len(exps), exps, None, range(1, len(exps) + 1))
+
+
 def _small_geometries():
     for exps in product(range(0, 4), repeat=2):
         if not any(exps):
@@ -305,6 +327,13 @@ CHECKS = [
     (
         "spectra-brieskorn",
         lambda: brieskorn_spectra(([2], [3], [2, 2], [2, 3], [3, 4], [2, 2, 2], [2, 3, 4])),
+    ),
+    (
+        "spectrum-product",
+        lambda: spectrum_product(
+            [(_origin([a]), _origin([b])) for a in (2, 3) for b in (2, 3, 4)]
+            + [(_origin([2, 3]), _origin([2]))]
+        ),
     ),
     (
         "degenerate-sanity",

@@ -62,12 +62,6 @@ def _poly_add(p: list, q: list) -> list:
     return _poly_trim(out)
 
 
-def _poly_scale(p: list, c) -> list:
-    if not c:
-        return []
-    return _poly_trim([x * c for x in p])
-
-
 def _poly_mul(p: list, q: list) -> list:
     if not p or not q:
         return []
@@ -121,15 +115,6 @@ def _binom_poly(k: int) -> list[Fraction]:
         prod = _poly_mul(prod, [Fraction(t), Fraction(1)])
     inv = Fraction(1, factorial(k - 1))
     return [c * inv for c in prod]
-
-
-@lru_cache(maxsize=1024)
-def _stirling2(j: int, t: int) -> int:
-    if j == t == 0:
-        return 1
-    if j == 0 or t == 0 or t > j:
-        return 0
-    return t * _stirling2(j - 1, t) + _stirling2(j - 1, t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -557,44 +542,44 @@ def twist(series: RationalSeries, k: int) -> RationalSeries:
 def _faulhaber(j: int) -> list[Fraction]:
     """Polynomial F_j with F_j(N) = sum_{n=0..N} n^j; F_j(-1) = 0.
 
-    F_j = sum_t S(j,t) t! C(N+1, t+1), from n^j = sum_t S(j,t) t! C(n,t).
+    The a = 0 form of _prefix_poly's recurrence: coefficient i of
+    F_j(N) - F_j(N-1) = N^j reads (i+1) F_{j,i+1} = [i = j] +
+    sum_{t > i+1} F_{j,t} C(t,i) (-1)^(t-i), solved from the top degree
+    down; F_{j,0} then makes F_j(-1) = 0.
     """
-    out = [Fraction(0)] * (j + 2)
-    falling = [Fraction(1)]  # (N+1) N ... (N+1-t) = (t+1)! C(N+1, t+1)
-    for t in range(j + 1):
-        falling = _poly_mul(falling, [Fraction(1 - t), Fraction(1)])
-        w = Fraction(_stirling2(j, t), t + 1)  # S(j,t) t! / (t+1)!
-        for i, c in enumerate(falling):
-            out[i] += c * w
-    return _poly_trim(out)
+    f = [Fraction(0)] * (j + 2)
+    for i in range(j, -1, -1):
+        lag = sum(f[t] * comb(t, i) * (-1) ** (t - i) for t in range(i + 2, j + 2))
+        f[i + 1] = Fraction(lag + (i == j), i + 1)
+    f[0] = -_poly_eval(f, -1)
+    return f
 
 
-def _geometric_prefix_poly(p: list, a: int) -> list:
-    """q with q(N) L^{Na} - q(N-1) L^{(N-1)a} = p(N) L^{Na}, for a != 0.
+def _prefix_poly(p: list, a: int) -> list:
+    """q with q(N) L^{Na} - q(N-1) L^{(N-1)a} = p(N) L^{Na}.
 
-    Then sum_{n=0..N} p(n) L^{na} = q(N) L^{Na} - q(-1) L^{-a}.  Solved from
-    the top degree down: coefficient j of the residual
-    p - q + L^{-a} q(N-1) depends only on q_j, q_{j+1}, ..., and setting q_j
-    from it makes it zero.
+    Then sum_{n=0..N} p(n) L^{na} = q(N) L^{Na} - q(-1) L^{-a}.  For a != 0,
+    coefficient j of the equation reads q_j (1 - L^{-a}) = p_j + L^{-a} comp_j
+    with comp_j = sum_{t > j} q_t C(t,j) (-1)^(t-j), solved from the top
+    degree down.  For a = 0, q = sum_j p_j F_j (_faulhaber), so q(-1) = 0.
     """
-    q: list = [0] * len(p)
+    if not a:
+        q: list = []
+        for j, c in enumerate(p):
+            if c:
+                q = _poly_add(q, _poly_trim([x * c for x in _faulhaber(j)]))
+        return q
+    q = [0] * len(p)
     for j in range(len(p) - 1, -1, -1):
-        res = _geometric_residual(p, q, a, j)
+        comp = None
+        for t in range(j + 1, len(q)):
+            if q[t]:
+                x = q[t] * (comb(t, j) * (-1) ** (t - j))
+                comp = x if comp is None else comp + x
+        res = p[j] if comp is None else p[j] + _shift(comp, -a)
         if res:
             q[j] = _shift(res, a).div_lpow_diff(a, 0)
     return _poly_trim(q)
-
-
-def _geometric_residual(p: list, q: list, a: int, j: int):
-    """Coefficient j of p - (q - L^{-a} q(N-1)), formed as in
-    _poly_add(p, -_poly_add(q, -[L^{-a} x for x in q(N-1)]))."""
-    comp = None  # coefficient j of q(N-1) = sum over t >= j of q_t C(t,j) (-1)^(t-j)
-    for t in range(j, len(q)):
-        if q[t]:
-            x = q[t] * (comb(t, j) * (-1) ** (t - j))
-            comp = x if comp is None else comp + x
-    inner = q[j] if comp is None else q[j] + (-_shift(comp, -a))
-    return p[j] + (-inner)
 
 
 def prefix_sums(series: RationalSeries) -> RationalSeries:
@@ -602,16 +587,15 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
 
     Requires the support to be bounded below (true for every canonical
     series) and represents sums from the bottom of the support; closed
-    form per term via geometric partial sums, Faulhaber polynomials for
-    the L^0 direction.  The sums are one list of additions (d, a, r, plain,
-    lagged), in the order of one-by-one addition: a term (r, d, a) adds
-    plain at the offsets rho >= r of (d, a) and lagged at rho < r, and a
-    Laurent entry c T^i and the constant -L^{-a} q(-1) of a geometric sum
-    each add (1, 0, 0, [c], []).  c T^i is the term (i, 1, 0, [c]) moved
-    to start at n = 0, so its Laurent corrections, -c at T^0 ... T^{i-1},
-    are written first (_write_boundary).  Each (d, a) group of additions
-    is summed at once (_grouped_prefix_sums); when a group declines, the
-    same additions are merged one at a time.
+    form per term through its prefix polynomial q (_prefix_poly).  The sums
+    are one list of additions (d, a, r, plain, lagged), in the order of
+    one-by-one addition: a term (r, d, a) adds plain at the offsets
+    rho >= r of (d, a) and lagged at rho < r, and a Laurent entry c T^i and
+    a term's nonzero constant -L^{-a} q(-1) each add (1, 0, 0, [c], []).
+    c T^i is the term (i, 1, 0, [c]) moved to start at n = 0, so its Laurent
+    corrections, -c at T^0 ... T^{i-1}, are written first (_write_boundary).
+    Each (d, a) group of additions is summed at once (_grouped_prefix_sums);
+    when a group declines, the same additions are merged one at a time.
     """
     if any(i < 0 for i in series.poly):
         raise ValueError("prefix sums need support in nonnegative degrees")
@@ -621,15 +605,8 @@ def prefix_sums(series: RationalSeries) -> RationalSeries:
         out._write_boundary(0, 1, 0, [c], i)
         adds.append((1, 0, 0, [c], []))
     for (r, d, a), npoly in series.terms.items():
-        if a == 0:
-            q: list = []
-            for j, c in enumerate(npoly):
-                if c:
-                    q = _poly_add(q, _poly_scale(_faulhaber(j), c))
-            const = None  # Faulhaber polynomials vanish at -1
-        else:
-            q = _geometric_prefix_poly(npoly, a)
-            const = -_shift(_poly_eval(q, -1), -a)
+        q = _prefix_poly(npoly, a)
+        const = -_shift(_poly_eval(q, -1), -a)  # zero at a = 0
         # offsets rho < r read the lagged sum; with r = 0 there are none
         adds.append((d, a, r, q, _sub_progression(q, a, 1, -1) if r else []))
         if const:

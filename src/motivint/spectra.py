@@ -133,13 +133,11 @@ def sp_from_sg(element: UElement, m: int) -> SpectrumPoly:
 def sp(geom: MonomialGeometry) -> SpectrumPoly:
     """Hodge spectrum of the monomial at the origin.
 
-    Requires data supported at the origin: every coordinate hyperplane chosen
-    and every f-exponent positive.
+    Requires data supported at the origin: every coordinate hyperplane chosen,
+    so every f-exponent is positive.
     """
     if geom.w_indices != set(range(1, geom.m + 1)):
         raise GeometryPointError("spectrum needs the full hyperplane set (origin support)")
-    if any(n < 1 for n in geom.f_exponents):
-        raise GeometryPointError("spectrum needs every f-exponent >= 1")
     return sp_from_sg(sg(geom), geom.m)
 
 

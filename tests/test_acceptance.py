@@ -10,7 +10,7 @@ has a runtime budget that is asserted.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from motivint import invariants
 from motivint.arcs import MonomialGeometry, big_d
@@ -109,7 +109,20 @@ def test_criterion_8_spectra():
         {Fraction(5, 6): 1, Fraction(7, 6): 1}
     )
     assert sp_from_sg(brieskorn_sg([2, 2, 2]), 3) == SpectrumPoly({Fraction(3, 2): 1})
-    _report(8, "spectra of sums via SG products match the Milnor-basis oracle", t0, 10.0)
+    origin = [
+        MonomialGeometry.make(m, exps, None, range(1, m + 1))
+        for m in (1, 2)
+        for exps in product(range(1, 5), repeat=m)
+    ]
+    assert len(origin) == 20
+    assert invariants.spectrum_product(combinations_with_replacement(origin, 2)) is None
+    _report(
+        8,
+        "spectra of sums via SG products match the Milnor-basis oracle and, "
+        "on 210 origin pairs, the direct stratum path",
+        t0,
+        10.0,
+    )
 
 
 def _kill_probes(rng: random.Random):

@@ -5,8 +5,8 @@ one-by-one addition, and sums each (d, a) group of them at once with one
 routine, ``series._staircase``, which adds each coefficient slot exactly over
 one common denominator, on ints when the slot's numerators pack; when a
 group declines, it merges the same additions one at a time;
-``rs_normalize`` and ``_geometric_prefix_poly`` solve partial fractions and
-geometric prefix sums in fewer operations.  The reference functions below
+``rs_normalize`` and ``_prefix_poly`` solve partial fractions and
+prefix polynomials in fewer operations.  The reference functions below
 add one coefficient at a time, in the original order, with their own
 polynomial helpers; the fast paths must reproduce their bytes: JSON,
 denominators, and the order of the series' keys.
@@ -27,15 +27,21 @@ from motivint.series import (
     RationalSeries,
     _binom_poly,
     _faulhaber,
-    _geometric_prefix_poly,
     _lifted_numerator,
+    _prefix_poly,
     _staircase,
     hadamard,
     prefix_sums,
     rs_normalize,
 )
 
-from helpers import all_geometries, clear_caches, random_motive_frac, twisted_geometries
+from helpers import (
+    all_geometries,
+    clear_caches,
+    random_motive_class,
+    random_motive_frac,
+    twisted_geometries,
+)
 from test_corpus import ts_pairs
 
 
@@ -493,7 +499,7 @@ def test_geometric_prefix_poly_matches_one_by_one_bytes():
         if rng.random() < 0.3 and len(p) > 1:
             p[rng.randrange(len(p) - 1)] = MotiveFrac.zero()
         a = rng.choice([-3, -2, -1, 1, 2, 3])
-        got = _geometric_prefix_poly(p, a)
+        got = _prefix_poly(p, a)
         want = _ref_geometric_prefix_poly(p, a)
         assert [motive_frac_to_json(MotiveFrac(0) + c) for c in got] == [
             motive_frac_to_json(MotiveFrac(0) + c) for c in want
@@ -677,6 +683,17 @@ def test_prefix_sums_match_one_by_one_bytes(monkeypatch):
         )
         assert list(_ref_prefix_sums(s).terms) == [(0, 1, 1), (0, 1, 2), (0, 1, 0)]
         cases.append(s)
+    # one term with a = 0 and mixed denominators: its prefix polynomial is
+    # sum_j p_j F_j, whose coefficient i carries only the denominators of
+    # the p_j with F_{j,i} != 0 (F_{3,1} = 0, for one)
+    dens = [(1, 0), (2, 0), (-1, -2), (3, 1)]
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        npoly = [
+            MotiveFrac(random_motive_class(rng), rng.sample(dens, rng.randint(1, 2)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        cases.append(RationalSeries(terms={(rng.randrange(d), d, 0): npoly}))
     for s in cases:
         assert _series_bytes(prefix_sums(s)) == _series_bytes(_ref_prefix_sums(s)), s
     # Gauss-ring coefficients are not MotiveFracs: one-by-one addition throughout

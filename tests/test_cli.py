@@ -631,6 +631,7 @@ SELFTEST_CHECKS = [
     "thom-sebastiani",
     "exp-vs-sg",
     "spectra-brieskorn",
+    "spectrum-product",
     "degenerate-sanity",
 ]
 

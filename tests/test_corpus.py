@@ -8,7 +8,10 @@ fifth criterion-7 geometry plus 40 twisted ones, and
 the insertion order of ``poly`` and ``terms`` of every ``exp_series``,
 ``measure_series`` and ``zeta_series`` in the sample.  On the same four
 pairs, ``hadamard`` pins the JSON and key order of ``ts_direct_zeta_series``
-(every character) and of ``hadamard(exp_series(l), exp_series(r))``.  The
+(every character) and of ``hadamard(exp_series(l), exp_series(r))``, and
+``ts_direct_zeta_series`` pins the same for every character on the 324
+ordered pairs of lines x^a with twist g = x^c, a <= 6 and c <= 2 (the family
+of criterion 6, whose 144 cases are among them).  The
 digests in ``golden/closed_form_sha256.json`` pin every byte, so a change of
 representation below the JSON must leave them as they are.
 
@@ -74,6 +77,11 @@ def ts_pairs() -> list[tuple[MonomialGeometry, MonomialGeometry]]:
     return [(MonomialGeometry.make(*left), MonomialGeometry.make(*right)) for left, right in TS_2D_PAIRS]
 
 
+def criterion_6_pairs() -> list[tuple[MonomialGeometry, MonomialGeometry]]:
+    lines = [MonomialGeometry.make(1, [a], [c], [1]) for a in range(1, 7) for c in range(3)]
+    return [(left, right) for left in lines for right in lines]
+
+
 def _put(h, obj) -> None:
     h.update(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
 
@@ -115,6 +123,11 @@ def corpus_digests() -> dict[str, str]:
         _put(had, [series_to_json(e), list(e.poly), list(e.terms)])
     out["ts_direct_exp_coefficient"] = ts.hexdigest()
     out["hadamard"] = had.hexdigest()
+    direct = hashlib.sha256()
+    for left, right in criterion_6_pairs():
+        for alpha, z in ts_direct_zeta_series(left, right).items():
+            _put(direct, [str(alpha), series_to_json(z), list(z.poly), list(z.terms)])
+    out["ts_direct_zeta_series"] = direct.hexdigest()
     return out
 
 
