@@ -66,8 +66,6 @@ class MonomialGeometry:
             raise GeometryError("hyperplane indices must lie in 1..m")
         if any(self.f_exponents[i - 1] < 1 for i in self.w_indices):
             raise GeometryError("each chosen hyperplane needs a positive f-exponent")
-        if not any(self.f_exponents):
-            raise GeometryError("f must be nonconstant")
 
     def __hash__(self) -> int:
         return self._hash
@@ -342,8 +340,6 @@ def _ts_direct_strata(
     ratio 1/L read off the pair's running sums V.  Every other character
     integrates to zero.
     """
-    if i < 0:
-        raise GeometryError("contact order must be nonnegative")
     trivial = Character.trivial()
     m_left, m_right = measure_gt(left, i), measure_gt(right, i)
     c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
@@ -356,11 +352,8 @@ def _ts_direct_strata(
         if fsum:
             diag[alpha] = (prod * fsum).div_lpow_diff(1, 0)
     levels = _diag_tail_levels(left, right)
-    while len(levels) < i:
+    while len(levels) <= i:
         levels.append(levels[-1].mul_lpow(-1) + _diag_tail_seed(left, right, len(levels)))
-    if len(levels) == i:  # _diag_tail_seed(i), from this order's products
-        seed = prod - diag[trivial] if trivial in diag else prod
-        levels.append(levels[-1].mul_lpow(-1) + seed)
     out = {}
     for alpha in characters:
         value = off_left if _passes(left, alpha) else zero
@@ -390,12 +383,12 @@ def ts_direct_zeta_series(left: MonomialGeometry, right: MonomialGeometry) -> di
         value = off_l if _passes(left, alpha) else RationalSeries.zero()
         if _passes(right, alpha):
             value = value + off_r
-        seed, fsum = zz, _diag_fermat_sum(left, right, alpha)
+        fsum = _diag_fermat_sum(left, right, alpha)
         if fsum:
             diag = zz.scale(MotiveFrac(fsum, [(1, 0)]))
-            value, seed = value + diag, zz - diag
+            value = value + diag
         if alpha.is_trivial():
-            value = value + _diag_tail(seed)
+            value = value + _diag_tail(zz - diag if fsum else zz)
         out[alpha] = value
     return out
 

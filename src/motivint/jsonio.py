@@ -17,14 +17,6 @@ from .series import RationalSeries
 from .spectra import SpectrumPoly
 
 
-def character_to_json(alpha: Character) -> str:
-    return str(alpha)
-
-
-def character_from_json(text: str) -> Character:
-    return Character.parse(text)
-
-
 def motive_class_to_json(cls: MotiveClass) -> list:
     # exponents and coefficients are ints or Fractions, whose str is the
     # rational's text, and triples come in increasing (p, q) order

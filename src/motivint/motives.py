@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .characters import Character, gamma
 
@@ -234,10 +233,6 @@ class MotiveClass:
     def term_count(self) -> int:
         """Number of terms, len(self.terms), without building the map."""
         return len(self._terms) if self.v is None else len(self.triples())
-
-    def weights(self) -> set:
-        """Set of total weights p + q appearing."""
-        return {_ex(p + q) for p, q in self.terms}
 
     def eval_l(self, value: Fraction) -> Fraction:
         """Evaluate at L = value; only defined when every term has p = q in Z."""
@@ -643,24 +638,3 @@ def fermat_torus_class(alpha1: Character, alpha2: Character) -> MotiveClass:
     if t1 or t2:
         return MotiveClass.from_scalar(-1)
     return jacobi(alpha1, alpha2)
-
-
-def torus_char_class(exponents, alpha: Character) -> MotiveClass:
-    """Class of the m-torus with alpha pulled back along c -> prod c_j^{n_j}.
-
-    Equals (L-1)^m when the order of alpha divides gcd of the positive
-    exponents (a trivial pullback), and 0 otherwise; with no positive
-    exponent, the monomial is constant and only the trivial alpha survives.
-    """
-    exponents = list(exponents)
-    if any(n < 0 for n in exponents):
-        raise ValueError("exponents must be nonnegative")
-    m = len(exponents)
-    g = gcd(*exponents)
-    if g == 0:
-        trivial_pullback = alpha.is_trivial()
-    else:
-        trivial_pullback = g % alpha.order == 0
-    if not trivial_pullback:
-        return MotiveClass.zero()
-    return (MotiveClass.lpow(1) - 1) ** m

@@ -51,20 +51,26 @@ Y3 = MonomialGeometry.make(1, [3], None, [1])
 
 
 def test_geometry_validation():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="ambient dimension must be >= 1"):
         MonomialGeometry.make(0, [], None, [])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="exponent vectors must have length m"):
         MonomialGeometry.make(2, [1], None, [1])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="index set must be nonempty"):
         MonomialGeometry.make(1, [1], None, [])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="indices must lie in 1..m"):
+        MonomialGeometry.make(1, [1], None, [2])
+    with pytest.raises(GeometryError, match="positive f-exponent"):
         MonomialGeometry.make(2, [1, 0], None, [2])  # w-index without f-exponent
-    with pytest.raises(GeometryError):
+    # a constant f fails here too: W is nonempty and inside the support of f
+    with pytest.raises(GeometryError, match="positive f-exponent"):
         MonomialGeometry.make(2, [0, 0], None, [1])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="exponents must be nonnegative"):
         MonomialGeometry.make(1, [-1], None, [1])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="contact order must be nonnegative"):
         char_integral(X1, TRIV, -1)
+    # measure_gt refuses the order before any stratum or tail level is formed
+    with pytest.raises(GeometryError, match="contact order must be nonnegative"):
+        ts_direct_exp_coefficient(X2, Y3, -1)
 
 
 def test_geometry_is_checked_at_construction():

@@ -1,14 +1,14 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
 from motivint.arcs import MonomialGeometry, exp_series, zeta_series
 from motivint.characters import Character
 from motivint.gaussring import UElement
-from motivint.motives import MotiveClass
+from motivint.motives import MotiveClass, jacobi
 from motivint.jsonio import (
-    character_from_json,
-    character_to_json,
     geometry_from_json,
     geometry_to_json,
     motive_class_from_json,
@@ -22,14 +22,38 @@ from motivint.jsonio import (
     uelement_from_json,
     uelement_to_json,
 )
-from motivint.spectra import brieskorn_oracle
+from motivint.spectra import brieskorn_oracle, sg, sp_from_sg
 
 from helpers import random_motive_class, random_motive_frac
 
 
 def test_character_round_trip():
+    # every writer uses str(alpha) and every reader Character.parse
     for text in ["0/1", "1/2", "7/12"]:
-        assert character_to_json(character_from_json(text)) == text
+        assert str(Character.parse(text)) == text
+
+
+def test_value_types_survive_pickle_and_copy():
+    geom = MonomialGeometry.make(2, [2, 3], None, [1, 2])
+    third = Character(Fraction(1, 3))
+    values = [
+        (third, str),
+        (MotiveClass.lpow(2) - 3, motive_class_to_json),  # packed
+        (jacobi(third, third), motive_class_to_json),  # a term map
+        (random_motive_frac(random.Random(4)), motive_frac_to_json),
+        (sg(geom), uelement_to_json),
+        (zeta_series(geom, Character.trivial()), series_to_json),
+        (exp_series(geom), series_to_json),
+        (sp_from_sg(sg(geom), geom.m), spectrum_to_json),
+    ]
+    assert values[1][0].v is not None and values[2][0].v is None
+    for value, to_json in values:
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(back) is type(value)
+            assert back == value
+            assert to_json(back) == to_json(value)
+            if isinstance(value, MotiveClass):
+                assert (back.v is None) == (value.v is None)
 
 
 def test_motive_class_round_trip():

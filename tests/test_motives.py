@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from motivint.arcs import MonomialGeometry, _passes
 from motivint.characters import Character
 from motivint.invariants import jacobi_relations
 from motivint.motives import (
@@ -12,7 +13,6 @@ from motivint.motives import (
     divide_by_l_diff,
     fermat_torus_class,
     jacobi,
-    torus_char_class,
 )
 
 from helpers import all_characters_up_to, random_motive_class, random_motive_frac
@@ -141,8 +141,7 @@ def test_jacobi_weight_purity():
             if a1.is_trivial() or a2.is_trivial() or (a1 * a2).is_trivial():
                 continue
             cls = jacobi(a1, a2)
-            assert len(cls.terms) == 1
-            assert cls.weights() == {1}
+            assert [p + q for p, q, _c in cls.triples()] == [1]
 
 
 def test_jacobi_three_term_relation():
@@ -164,18 +163,26 @@ def test_fermat_examples():
 
 
 # -- torus character classes ---------------------------------------------------
+# The torus of leading coefficients carries alpha pulled back along
+# c -> prod c_j^{n_j}; its class is (L-1)^m when the pullback is trivial,
+# that is when the order of alpha divides gcd of the f-exponents (_passes),
+# and 0 otherwise.
+
+
+def _monomial(*exponents):
+    return MonomialGeometry.make(len(exponents), exponents, None, [1])
 
 
 def test_torus_char_class_examples():
     half = Character(Fraction(1, 2))
     third = Character(Fraction(1, 3))
     triv = Character.trivial()
-    assert torus_char_class([2], half) == L(1) - 1
-    assert torus_char_class([2], third) == MotiveClass.zero()
-    assert torus_char_class([0, 0], triv) == (L(1) - 1) ** 2
-    assert torus_char_class([0, 0], half) == MotiveClass.zero()
-    assert torus_char_class([4, 6], half) == (L(1) - 1) ** 2
-    assert torus_char_class([4, 6], Character(Fraction(1, 4))) == MotiveClass.zero()
+    assert _passes(_monomial(2), half)
+    assert not _passes(_monomial(2), third)
+    assert _passes(_monomial(2, 0), triv)
+    assert _passes(_monomial(2, 0), half)  # a zero exponent leaves the gcd alone
+    assert _passes(_monomial(4, 6), half)
+    assert not _passes(_monomial(4, 6), Character(Fraction(1, 4)))
 
 
 def test_torus_char_class_finite_field_oracle():
@@ -189,13 +196,8 @@ def test_torus_char_class_finite_field_oracle():
         step = (q - 1) // order
         total = sum(cmath.exp(2j * pi * k * n * step / (q - 1)) for k in range(q - 1))
         alpha = Character(Fraction(1, order))
-        expected = (q - 1) if torus_char_class([n], alpha) else 0
+        expected = (q - 1) if _passes(_monomial(n), alpha) else 0
         assert abs(total - expected) < 1e-9
-
-
-def test_torus_char_class_rejects_negative():
-    with pytest.raises(ValueError):
-        torus_char_class([-1], Character.trivial())
 
 
 # -- the packed form of integer classes in L ----------------------------------

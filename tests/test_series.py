@@ -177,15 +177,25 @@ def test_lambda_fractional_offset_has_no_tail():
 
 
 def test_lambda_of_fraction_matches_closed_form_bytes():
-    # coefficients with mixed denominators, factors with b < 0 and unequal
-    # steps (so the numerator is lifted); the long division at infinity is
-    # an independent third path
+    # no denominator factor (lambda reads the numerator's T^0 entry), zero
+    # numerators (lambda is zero), then coefficients with mixed denominators,
+    # factors with b < 0 and unequal steps (so the numerator is lifted); the
+    # long division at infinity is an independent third path
+    cases = [
+        ({0: MotiveFrac(L(2) - 1, [(1, 0)]), 3: lfrac(-1), -2: 5}, []),
+        ({1: lfrac(1)}, []),
+        ({}, []),
+        ({}, [(1, 2), (-1, 3)]),
+        ({0: 0, 2: MotiveFrac.zero()}, [(2, 1)]),
+    ]
     rng = random.Random(2718)
     for _ in range(80):
         num = {rng.randint(-4, 8): random_motive_frac(rng, 2) for _ in range(rng.randint(0, 4))}
         den = []
         for _ in range(rng.randint(0, 4)):
             den.append((rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 3, 4, 6])))
+        cases.append((num, den))
+    for num, den in cases:
         got = lambda_of_fraction(num, den)
         want = lambda_functional(rs_normalize(num, den))
         assert motive_frac_to_json(got) == motive_frac_to_json(want), (num, den)

@@ -130,8 +130,18 @@ def test_sp_preconditions():
 
 def test_sp_fractional_degree_error():
     bad = UElement(0, {HALF: MotiveFrac(MotiveClass.h(Fraction(1, 2), Fraction(1, 2)))})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fractional Hodge degree"):
         sp_from_sg(bad, 1)
+
+
+def test_sp_non_integral_multiplicity_error():
+    # integral Hodge degrees, but multiplicities 1/2 and -3/2
+    for bad in [
+        UElement(0, {HALF: MotiveFrac(MotiveClass.from_scalar(Fraction(1, 2)))}),
+        UElement(MotiveFrac(MotiveClass.h(1, 1, Fraction(3, 2)))),
+    ]:
+        with pytest.raises(ValueError, match="non-integral multiplicity"):
+            sp_from_sg(bad, 1)
 
 
 def test_brieskorn_oracle_examples():
