@@ -47,9 +47,12 @@ class MonomialGeometry:
 
     @staticmethod
     def make(m, f_exponents, g_exponents=None, w_indices=()) -> "MonomialGeometry":
+        """The geometry of these fields, checked and then interned, so that the
+        memos keyed by geometries made here hit on identity."""
         f_exp = tuple(f_exponents)
         g_exp = tuple(g_exponents) if g_exponents is not None else (0,) * len(f_exp)
-        return MonomialGeometry(m, f_exp, g_exp, frozenset(w_indices))
+        # checked before the lookup: True == 1, so a bool field would hit an int geometry
+        return _interned(MonomialGeometry(m, f_exp, g_exp, frozenset(w_indices)))
 
     def __post_init__(self) -> None:
         if not all(map(_is_int, (self.m, *self.f_exponents, *self.g_exponents, *self.w_indices))):
@@ -106,14 +109,22 @@ def _passes(geom: MonomialGeometry, alpha: Character) -> bool:
     return geom.order_gcd % alpha.order == 0
 
 
-# Memo bounds.  Entries keyed by a geometry (its free factor, zeta fraction
-# and measure levels) or by a pair of them (its tail levels) are read again
-# within one request or one run of levels i = 1, 2, ..., so a few dozen are
-# enough.  Entries keyed by a contact order or a character are read again by
-# the higher levels of the same Thom-Sebastiani pair, and 1 << 15 holds those
-# of the pairs checked last.
+# Memo bounds.  Entries keyed by a geometry (the geometry make interns, its
+# free factor, zeta fraction and measure levels) or by a pair of them (its
+# character classes and tail levels) are read again within one request or
+# one run of levels i = 1, 2, ..., so a few dozen are enough.  Entries keyed by a contact order
+# or a character are read again by the higher levels of the same
+# Thom-Sebastiani pair, and exponential coefficients by every pair that shares
+# the factor; 1 << 15 holds those of the pairs checked last.
 _PER_GEOMETRY = 64
 _PER_COEFFICIENT = 1 << 15
+
+
+@lru_cache(maxsize=_PER_GEOMETRY)
+def _interned(geom: MonomialGeometry) -> MonomialGeometry:
+    """The first geometry equal to geom that is still held.  Evicting one only
+    turns the memo hits on its equals back into field comparisons."""
+    return geom
 
 
 def _coordinate_measure(c: int) -> MotiveFrac:
@@ -257,14 +268,28 @@ def _measure_from_zeta(geom: MonomialGeometry, zeta: RationalSeries) -> Rational
 
 def _exp_element(measure: MotiveFrac, integrals: dict) -> UElement:
     """Equality (1.2.2) at one order: the measure of ord f > i plus
-    sum_alpha G_{alpha^{-1}} Z_alpha(i)/(L-1), from alpha -> Z_alpha(i)."""
-    return from_characters({a: z.div_lpow_diff(1, 0) for a, z in integrals.items()}, measure)
+    sum_alpha G_{alpha^{-1}} Z_alpha(i)/(L-1), from alpha -> Z_alpha(i).
+
+    Characters that share one integral object share its quotient."""
+    distinct = {id(z): z for z in integrals.values()}
+    quotients = {key: z.div_lpow_diff(1, 0) for key, z in distinct.items()}
+    return from_characters({a: quotients[id(z)] for a, z in integrals.items()}, measure)
+
+
+@lru_cache(maxsize=_PER_COEFFICIENT)
+def _exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
+    base = char_integral(geom, Character.trivial(), i)
+    return _exp_element(measure_gt(geom, i), dict.fromkeys(geom.characters(), base))
 
 
 def exp_coefficient(geom: MonomialGeometry, i: int) -> UElement:
-    """Coefficient of the exponential series; every character of geom shares one integral."""
-    base = char_integral(geom, Character.trivial(), i)
-    return _exp_element(measure_gt(geom, i), dict.fromkeys(geom.characters(), base))
+    """Coefficient of the exponential series; every character of geom shares one integral.
+
+    Each call returns its own copy of the memo's value, so a caller that edits
+    the result changes no later one.
+    """
+    cached = _exp_coefficient(geom, i)
+    return UElement(cached.scalar, cached.gauss)
 
 
 def exp_series(geom: MonomialGeometry) -> RationalSeries:
@@ -305,19 +330,51 @@ def _diag_fermat_sum(left: MonomialGeometry, right: MonomialGeometry, alpha: Cha
     return total
 
 
-def _diag_tail_seed(left: MonomialGeometry, right: MonomialGeometry, k: int) -> MotiveFrac:
-    """Total of the equal-order-k stratum over ord (f+f') > k; vanishing cancellation tail."""
+def _fermat_part(prod: MotiveFrac, fsum: MotiveClass) -> MotiveFrac:
+    """prod * fsum/(L - 1): what a Fermat sum takes from the equal-order stratum."""
+    return (prod * fsum).div_lpow_diff(1, 0)
+
+
+def _diag_tail_seed(
+    left: MonomialGeometry, right: MonomialGeometry, k: int, prod=None, part=None
+) -> MotiveFrac:
+    """Total of the equal-order-k stratum over ord (f+f') > k; vanishing cancellation tail.
+
+    prod is the product of both trivial integrals at order k and part its
+    trivial Fermat part; a caller that has formed them passes them.
+    """
     trivial = Character.trivial()
-    prod = char_integral(left, trivial, k) * char_integral(right, trivial, k)
+    if prod is None:
+        prod = char_integral(left, trivial, k) * char_integral(right, trivial, k)
     fsum = _diag_fermat_sum(left, right, trivial)
-    return prod - (prod * fsum).div_lpow_diff(1, 0) if fsum else prod
+    if not fsum:
+        return prod
+    return prod - (_fermat_part(prod, fsum) if part is None else part)
 
 
 @lru_cache(maxsize=_PER_GEOMETRY)
-def _diag_tail_levels(left: MonomialGeometry, right: MonomialGeometry) -> list[MotiveFrac]:
-    """[V_0, V_1, ...] with V_0 = 0 and V_i = V_{i-1} L^{-1} + _diag_tail_seed(i),
-    the sum over 0 < k <= i of seed_k L^{k-i}; grown by _ts_direct_strata."""
-    return [MotiveFrac.zero()]
+def _ts_pair(left: MonomialGeometry, right: MonomialGeometry) -> tuple[tuple, list, list]:
+    """The pair's character classes, and its tail levels grown by _ts_direct_strata.
+
+    A character weighs the strata only by its key (passes left, passes right,
+    is trivial, Fermat sum): ``classes`` lists the keys in the order they
+    first occur, ``members`` pairs each character, in character order, with
+    the index of its key.  The trivial character comes first, so its class is
+    the first.  ``levels`` is [V_0, V_1, ...] with V_0 = 0 and
+    V_i = V_{i-1} L^{-1} + _diag_tail_seed(i), the sum over 0 < k <= i of
+    seed_k L^{k-i}.
+    """
+    classes: dict = {}
+    members = []
+    for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
+        key = (
+            _passes(left, alpha),
+            _passes(right, alpha),
+            alpha.is_trivial(),
+            _diag_fermat_sum(left, right, alpha),
+        )
+        members.append((alpha, classes.setdefault(key, len(classes))))
+    return tuple(classes), members, [MotiveFrac.zero()]
 
 
 def ts_direct_zeta(
@@ -335,35 +392,38 @@ def _ts_direct_strata(
     The strata are formed once: off-diagonal ones carry the leading coefficient
     of the smaller-order factor, the equal-order-i one the product of both.
     Each character of order dividing lcm(gcd f, gcd f') weighs them by whether
-    it passes each factor and by its Fermat-torus class sum; equal orders below
-    i contribute only for the trivial character, through a geometric tail with
-    ratio 1/L read off the pair's running sums V.  Every other character
-    integrates to zero.
+    it passes each factor and by its Fermat-torus class sum, so each class of
+    _ts_pair forms its value once and every member shares it.  Equal orders
+    below i contribute only for the trivial character, through a geometric
+    tail with ratio 1/L read off the pair's running sums V.  Every other
+    character integrates to zero.
     """
     trivial = Character.trivial()
     m_left, m_right = measure_gt(left, i), measure_gt(right, i)
     c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
     off_left, off_right = c_left * m_right, c_right * m_left
     prod, zero = c_left * c_right, MotiveFrac.zero()
-    characters = characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd))
-    diag = {}  # alpha -> prod * (its Fermat sum)/(L - 1), where that sum is nonzero
-    for alpha in characters:
-        fsum = _diag_fermat_sum(left, right, alpha)
+    classes, members, levels = _ts_pair(left, right)
+    parts = {}  # Fermat sum -> _fermat_part(prod, it), once per distinct nonzero sum
+    values = []
+    for passes_left, passes_right, _trivial, fsum in classes:
+        value = off_left if passes_left else zero
+        value = value + (off_right if passes_right else zero)
         if fsum:
-            diag[alpha] = (prod * fsum).div_lpow_diff(1, 0)
-    levels = _diag_tail_levels(left, right)
+            if fsum not in parts:
+                parts[fsum] = _fermat_part(prod, fsum)
+            value = value + parts[fsum]
+        values.append(value)
     while len(levels) <= i:
-        levels.append(levels[-1].mul_lpow(-1) + _diag_tail_seed(left, right, len(levels)))
-    out = {}
-    for alpha in characters:
-        value = off_left if _passes(left, alpha) else zero
-        value = value + (off_right if _passes(right, alpha) else zero)
-        if alpha in diag:
-            value = value + diag[alpha]
-        if alpha.is_trivial() and i:
-            value = value + levels[i - 1].mul_lpow(-1) * (MotiveClass.lpow(1) - 1)
-        out[alpha] = value
-    return m_left * m_right + levels[i], out
+        k = len(levels)
+        if k < i:  # a cold pair asked a higher order first
+            seed = _diag_tail_seed(left, right, k)
+        else:
+            seed = _diag_tail_seed(left, right, i, prod, parts.get(classes[0][3]))
+        levels.append(levels[-1].mul_lpow(-1) + seed)
+    if i:
+        values[0] = values[0] + levels[i - 1].mul_lpow(-1) * (MotiveClass.lpow(1) - 1)
+    return m_left * m_right + levels[i], {alpha: values[k] for alpha, k in members}
 
 
 def ts_direct_zeta_series(left: MonomialGeometry, right: MonomialGeometry) -> dict:

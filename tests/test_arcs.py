@@ -38,7 +38,7 @@ from motivint.jsonio import motive_frac_to_json, uelement_to_json
 from motivint.motives import MotiveClass, MotiveFrac, fermat_torus_class
 from motivint.series import exp_t, hadamard
 
-from helpers import ff_char_arc_sum, ff_total_measure, random_geometry
+from helpers import clear_caches, ff_char_arc_sum, ff_total_measure, random_geometry
 
 L = MotiveClass.lpow
 TRIV = Character.trivial()
@@ -76,6 +76,19 @@ def test_geometry_validation():
 def test_geometry_is_checked_at_construction():
     with pytest.raises(GeometryError, match="positive f-exponent"):
         MonomialGeometry(1, (0,), (0,), frozenset({1}))
+
+
+def test_make_interns_only_checked_geometries():
+    x = MonomialGeometry.make(1, [1], None, [1])
+    assert MonomialGeometry.make(1, (1,), (0,), {1}) is x
+    # True == 1 and hash(True) == hash(1): a lookup before the check would
+    # answer with x and lose the refusal
+    for bad in ([True], None, [1]), ([1], [False], [1]), ([1], None, [True]):
+        with pytest.raises(GeometryError, match="must be integers"):
+            MonomialGeometry.make(1, *bad)
+    twisted = MonomialGeometry.make(1, [1], [1], [1])
+    assert twisted is not x and twisted != x
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
 
 def test_char_integral_examples():
@@ -533,20 +546,25 @@ def _ref_strata(left, right, i):
     return _ref_ts_direct_measure_gt(left, right, i), _ref_ts_direct_strata(left, right, i)
 
 
-def test_direct_path_keeps_the_bytes_of_the_per_order_tail_sums(monkeypatch):
-    # the criterion-6 pairs and the benchmark's 2-d pairs up to order 30,
-    # pairs with free coordinates up to 15 and twisted pairs up to 7
+def _bench_two_d_pairs(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from benchlib.inputs import ts_pairs
 
+    two_d = ts_pairs()[-4:]
+    assert all(left.m == 2 for left, _right in two_d)
+    return two_d
+
+
+def test_direct_path_keeps_the_bytes_of_the_per_order_tail_sums(monkeypatch):
+    # the criterion-6 pairs and the benchmark's 2-d pairs up to order 30,
+    # pairs with free coordinates up to 15 and twisted pairs up to 7
     line = [
         (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]), 30)
         for a in range(1, 7)
         for b in range(1, 7)
         for cl, cr in [(0, 0), (1, 0), (0, 2), (2, 1)]
     ]
-    two_d = [(left, right, 30) for left, right in ts_pairs()[-4:]]
-    assert all(left.m == 2 for left, _right, _i in two_d)
+    two_d = [(left, right, 30) for left, right in _bench_two_d_pairs(monkeypatch)]
     rng = random.Random(1919)
     free = []
     while len(free) < 12:
@@ -571,3 +589,31 @@ def test_direct_path_keeps_the_bytes_of_the_per_order_tail_sums(monkeypatch):
         for i in range(i_max + 1):
             got, want = exp_coefficient(geom, i), _ref_exp_coefficient(geom, i)
             assert json.dumps(uelement_to_json(got)) == json.dumps(uelement_to_json(want))
+
+
+def test_direct_path_asked_its_highest_order_first_keeps_the_bytes(monkeypatch):
+    # a cold pair asked order 30 first grows every tail level below it from
+    # its own seeds; the orders asked next read those levels
+    pairs = [
+        (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]))
+        for a in range(1, 7)
+        for b in range(1, 7)
+        for cl, cr in [(0, 0), (1, 0), (0, 2), (2, 1)]
+    ] + _bench_two_d_pairs(monkeypatch)
+    top = 30
+    for left, right in pairs:
+        clear_caches()
+        ascending = [
+            _direct_bytes(left, right, i, _ts_direct_strata, ts_direct_exp_coefficient)
+            for i in range(1, top + 1)
+        ]
+        clear_caches()
+        first = _direct_bytes(left, right, top, _ts_direct_strata, ts_direct_exp_coefficient)
+        rest = [
+            _direct_bytes(left, right, i, _ts_direct_strata, ts_direct_exp_coefficient)
+            for i in range(1, top)
+        ]
+        assert rest + [first] == ascending, (left, right)
+        for i in range(1, top + 1):
+            want = _direct_bytes(left, right, i, _ref_strata, _ref_ts_direct_exp_coefficient)
+            assert ascending[i - 1] == want, (left, right, i)

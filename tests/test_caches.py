@@ -6,6 +6,7 @@ recomputation differ from the first answer.
 """
 
 import json
+from fractions import Fraction
 
 from motivint.arcs import (
     MonomialGeometry,
@@ -39,8 +40,10 @@ X3 = MonomialGeometry.make(1, [3], None, [1])
 def test_every_cache_is_a_bounded_lru_cache():
     caches = lru_caches()
     for name in (
-        "arcs._diag_tail_levels",
+        "arcs._exp_coefficient",
+        "arcs._interned",
         "arcs._measure_levels",
+        "arcs._ts_pair",
         "characters._character",
         "characters._characters_of_order_dividing",
         "motives._product",
@@ -116,6 +119,26 @@ def test_editing_a_returned_series_changes_no_later_result():
         edited.poly[99] = MotiveFrac.one()
         edited.terms.clear()
         assert _series_bytes(zeta_series(geom, trivial)) == want
+
+
+def test_editing_a_returned_exp_coefficient_changes_no_later_result():
+    orders = range(1, 13)  # each geometry with gcd f > 1 meets its Gauss part by order 12
+    gauss = [geom for geom in GEOMETRIES if geom.order_gcd > 1]
+    assert gauss
+    for geom in gauss:
+        want = [json.dumps(uelement_to_json(exp_coefficient(geom, i))) for i in orders]
+        assert any(exp_coefficient(geom, i).gauss for i in orders)
+        for i in orders:
+            edited = exp_coefficient(geom, i)
+            edited.gauss.clear()
+            edited.gauss[Character(Fraction(1, 7))] = MotiveFrac.one()
+            edited.scalar = MotiveFrac.zero()
+        assert [json.dumps(uelement_to_json(exp_coefficient(geom, i))) for i in orders] == want
+        # and the product path, which reads the same memo, is unchanged
+        for i in orders:
+            assert u_mul(exp_coefficient(X3, i), exp_coefficient(geom, i)) == (
+                ts_direct_exp_coefficient(X3, geom, i)
+            )
 
 
 def test_exp_series_builds_the_zeta_closed_form_once(monkeypatch):
