@@ -546,25 +546,20 @@ def _ref_strata(left, right, i):
     return _ref_ts_direct_measure_gt(left, right, i), _ref_ts_direct_strata(left, right, i)
 
 
-def _bench_two_d_pairs(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from benchlib.inputs import ts_pairs
-
-    two_d = ts_pairs()[-4:]
-    assert all(left.m == 2 for left, _right in two_d)
-    return two_d
-
-
 def test_direct_path_keeps_the_bytes_of_the_per_order_tail_sums(monkeypatch):
     # the criterion-6 pairs and the benchmark's 2-d pairs up to order 30,
     # pairs with free coordinates up to 15 and twisted pairs up to 7
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from benchlib.inputs import ts_pairs
+
     line = [
         (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]), 30)
         for a in range(1, 7)
         for b in range(1, 7)
         for cl, cr in [(0, 0), (1, 0), (0, 2), (2, 1)]
     ]
-    two_d = [(left, right, 30) for left, right in _bench_two_d_pairs(monkeypatch)]
+    two_d = [(left, right, 30) for left, right in ts_pairs()[-4:]]
+    assert all(left.m == 2 for left, _right, _i in two_d)
     rng = random.Random(1919)
     free = []
     while len(free) < 12:
@@ -594,12 +589,16 @@ def test_direct_path_keeps_the_bytes_of_the_per_order_tail_sums(monkeypatch):
 def test_direct_path_asked_its_highest_order_first_keeps_the_bytes(monkeypatch):
     # a cold pair asked order 30 first grows every tail level below it from
     # its own seeds; the orders asked next read those levels
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from benchlib.inputs import ts_pairs
+
     pairs = [
         (MonomialGeometry.make(1, [a], [cl], [1]), MonomialGeometry.make(1, [b], [cr], [1]))
         for a in range(1, 7)
         for b in range(1, 7)
         for cl, cr in [(0, 0), (1, 0), (0, 2), (2, 1)]
-    ] + _bench_two_d_pairs(monkeypatch)
+    ] + ts_pairs()[-4:]
+    assert all(left.m == 2 for left, _right in pairs[-4:])
     top = 30
     for left, right in pairs:
         clear_caches()
