@@ -330,28 +330,6 @@ def _diag_fermat_sum(left: MonomialGeometry, right: MonomialGeometry, alpha: Cha
     return total
 
 
-def _fermat_part(prod: MotiveFrac, fsum: MotiveClass) -> MotiveFrac:
-    """prod * fsum/(L - 1): what a Fermat sum takes from the equal-order stratum."""
-    return (prod * fsum).div_lpow_diff(1, 0)
-
-
-def _diag_tail_seed(
-    left: MonomialGeometry, right: MonomialGeometry, k: int, prod=None, part=None
-) -> MotiveFrac:
-    """Total of the equal-order-k stratum over ord (f+f') > k; vanishing cancellation tail.
-
-    prod is the product of both trivial integrals at order k and part its
-    trivial Fermat part; a caller that has formed them passes them.
-    """
-    trivial = Character.trivial()
-    if prod is None:
-        prod = char_integral(left, trivial, k) * char_integral(right, trivial, k)
-    fsum = _diag_fermat_sum(left, right, trivial)
-    if not fsum:
-        return prod
-    return prod - (_fermat_part(prod, fsum) if part is None else part)
-
-
 @lru_cache(maxsize=_PER_GEOMETRY)
 def _ts_pair(left: MonomialGeometry, right: MonomialGeometry) -> tuple[tuple, list, list]:
     """The pair's character classes, and its tail levels grown by _ts_direct_strata.
@@ -360,9 +338,10 @@ def _ts_pair(left: MonomialGeometry, right: MonomialGeometry) -> tuple[tuple, li
     is trivial, Fermat sum): ``classes`` lists the keys in the order they
     first occur, ``members`` pairs each character, in character order, with
     the index of its key.  The trivial character comes first, so its class is
-    the first.  ``levels`` is [V_0, V_1, ...] with V_0 = 0 and
-    V_i = V_{i-1} L^{-1} + _diag_tail_seed(i), the sum over 0 < k <= i of
-    seed_k L^{k-i}.
+    the first; both direct paths read this table.  ``levels`` is
+    [V_0, V_1, ...] with V_0 = 0 and V_i = V_{i-1} L^{-1} + seed_i, the sum
+    over 0 < k <= i of seed_k L^{k-i}, where seed_k is the equal-order-k
+    stratum less its trivial Fermat part; only _ts_direct_strata(k) appends V_k.
     """
     classes: dict = {}
     members = []
@@ -395,32 +374,32 @@ def _ts_direct_strata(
     it passes each factor and by its Fermat-torus class sum, so each class of
     _ts_pair forms its value once and every member shares it.  Equal orders
     below i contribute only for the trivial character, through a geometric
-    tail with ratio 1/L read off the pair's running sums V.  Every other
-    character integrates to zero.
+    tail with ratio 1/L read off the pair's running sums V; the call for
+    order i appends V_i, after a cold pair has formed the orders below i.
+    Every other character integrates to zero.
     """
+    classes, members, levels = _ts_pair(left, right)
+    while len(levels) < i:  # a cold pair asked a higher order first
+        _ts_direct_strata(left, right, len(levels))
     trivial = Character.trivial()
     m_left, m_right = measure_gt(left, i), measure_gt(right, i)
     c_left, c_right = char_integral(left, trivial, i), char_integral(right, trivial, i)
     off_left, off_right = c_left * m_right, c_right * m_left
     prod, zero = c_left * c_right, MotiveFrac.zero()
-    classes, members, levels = _ts_pair(left, right)
-    parts = {}  # Fermat sum -> _fermat_part(prod, it), once per distinct nonzero sum
+    parts = {}  # Fermat sum -> prod * it/(L - 1), once per distinct nonzero sum
     values = []
     for passes_left, passes_right, _trivial, fsum in classes:
         value = off_left if passes_left else zero
-        value = value + (off_right if passes_right else zero)
+        if passes_right:
+            value = value + off_right
         if fsum:
             if fsum not in parts:
-                parts[fsum] = _fermat_part(prod, fsum)
+                parts[fsum] = (prod * fsum).div_lpow_diff(1, 0)
             value = value + parts[fsum]
         values.append(value)
-    while len(levels) <= i:
-        k = len(levels)
-        if k < i:  # a cold pair asked a higher order first
-            seed = _diag_tail_seed(left, right, k)
-        else:
-            seed = _diag_tail_seed(left, right, i, prod, parts.get(classes[0][3]))
-        levels.append(levels[-1].mul_lpow(-1) + seed)
+    if len(levels) == i:  # the tail seed of order i: its stratum less its trivial Fermat part
+        fsum = classes[0][3]
+        levels.append(levels[-1].mul_lpow(-1) + (prod - parts[fsum] if fsum else prod))
     if i:
         values[0] = values[0] + levels[i - 1].mul_lpow(-1) * (MotiveClass.lpow(1) - 1)
     return m_left * m_right + levels[i], {alpha: values[k] for alpha, k in members}
@@ -438,24 +417,25 @@ def ts_direct_zeta_series(left: MonomialGeometry, right: MonomialGeometry) -> di
     zz = hadamard(z_l, z_r)
     off_l = hadamard(z_l, _measure_from_zeta(right, z_r))
     off_r = hadamard(z_r, _measure_from_zeta(left, z_l))
-    out = {}
-    for alpha in characters_of_order_dividing(lcm(left.order_gcd, right.order_gcd)):
-        value = off_l if _passes(left, alpha) else RationalSeries.zero()
-        if _passes(right, alpha):
+    classes, members, _levels = _ts_pair(left, right)
+    values = []
+    for passes_left, passes_right, is_trivial, fsum in classes:
+        value = off_l if passes_left else RationalSeries.zero()
+        if passes_right:
             value = value + off_r
-        fsum = _diag_fermat_sum(left, right, alpha)
         if fsum:
             diag = zz.scale(MotiveFrac(fsum, [(1, 0)]))
             value = value + diag
-        if alpha.is_trivial():
+        if is_trivial:
             value = value + _diag_tail(zz - diag if fsum else zz)
-        out[alpha] = value
-    return out
+        values.append(value)
+    return {alpha: values[k] for alpha, k in members}
 
 
 def _diag_tail(seed: RationalSeries) -> RationalSeries:
-    """Sum over 0 < k < i of _diag_tail_seed(k) (L-1) L^{k-i} at T^i, given the
-    seed series Z_l * Z_r less its trivial diagonal part.
+    """Sum over 0 < k < i of seed_k (L-1) L^{k-i} at T^i, given the seed series
+    Z_l * Z_r less its trivial diagonal part, whose T^k coefficient is the
+    seed_k of _ts_pair's levels.
 
     With S the seed series at L T, the sum is the prefix sums of S less S, taken
     back at T / L.
