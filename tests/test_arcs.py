@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from motivint import arcs
 from motivint.arcs import (
     GeometryError,
     MonomialGeometry,
@@ -17,6 +18,7 @@ from motivint.arcs import (
     _lattice_sum,
     _passes,
     _ts_direct_strata,
+    _ts_pair,
     big_d,
     char_integral,
     exp_coefficient,
@@ -460,6 +462,59 @@ def test_diag_fermat_sum_walks_only_the_passing_coset():
             want = _full_loop_fermat_sum(left, right, alpha)
             got = _diag_fermat_sum(left, right, alpha)
             assert got == want and repr(got) == repr(want), (left, right, alpha)
+
+
+def test_ts_pair_keys_each_character_by_what_weighs_its_strata():
+    # both direct paths read the class table instead of keying each character
+    rng = random.Random(1515)
+    pairs = [(random_geometry(rng, 2, 4), random_geometry(rng, 2, 4)) for _ in range(60)]
+    rng = random.Random(1718)
+    pairs += [
+        (_twisted_with_gcd(rng, rng.randint(1, 8)), _twisted_with_gcd(rng, rng.randint(1, 8)))
+        for _ in range(40)
+    ]
+    assert sum(1 for left, right in pairs if left.order_gcd > 1 and right.order_gcd > 1) > 20
+    for left, right in pairs:
+        classes, members, _levels = _ts_pair(left, right)
+        orders = lcm(left.order_gcd, right.order_gcd)
+        assert [alpha for alpha, _k in members] == characters_of_order_dividing(orders)
+        for alpha, k in members:
+            key = (
+                _passes(left, alpha),
+                _passes(right, alpha),
+                alpha.is_trivial(),
+                _diag_fermat_sum(left, right, alpha),
+            )
+            assert classes[k] == key, (left, right, alpha)
+        assert [alpha for alpha, k in members if k == 0] == [TRIV], (left, right)
+
+
+def test_direct_path_forms_each_orders_trivial_integrals_once(monkeypatch):
+    # two trivial integrals per order formed, whether the orders are asked
+    # ascending or a cold pair is asked its highest order first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from benchlib.inputs import ts_pairs
+
+    real = arcs.char_integral
+    orders_asked = []
+
+    def counting(geom, alpha, i):
+        orders_asked.append(i)
+        return real(geom, alpha, i)
+
+    top = 30
+    pairs = [(X1, X1), (X2, X2), (X2, Y3)] + ts_pairs()[-4:]
+    for left, right in pairs:
+        for asked in (range(1, top + 1), [top]):
+            clear_caches()
+            measure_gt(left, top)
+            measure_gt(right, top)
+            orders_asked.clear()
+            monkeypatch.setattr(arcs, "char_integral", counting)
+            for i in asked:
+                _ts_direct_strata(left, right, i)
+            monkeypatch.setattr(arcs, "char_integral", real)
+            assert sorted(orders_asked) == sorted(2 * list(range(1, top + 1))), (left, right)
 
 
 # -- the direct path as it was while it re-summed its tail at every order ------

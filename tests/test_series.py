@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from motivint.invariants import tau_binomial
+from motivint.invariants import random_series, tau_binomial
 from motivint.jsonio import motive_frac_to_json
 from motivint.motives import MotiveClass, MotiveFrac
 from motivint.series import (
@@ -13,6 +13,7 @@ from motivint.series import (
     hadamard,
     lambda_functional,
     lambda_of_fraction,
+    prefix_sums,
     rs_normalize,
     _faulhaber,
     tau,
@@ -308,7 +309,9 @@ def test_prefix_sums_reject_negative_support():
 
 
 def test_twist_scales_coefficient_i_by_l_to_the_k_i():
-    rng = random.Random(1517)
+    # the direct path's tail (arcs._diag_tail) is built from twist, hadamard
+    # and prefix_sums; the partners of each draw come from a second generator
+    rng, partner = random.Random(1517), random.Random(1518)
     for _ in range(30):
         num = {rng.randint(-2, 4): random_motive_frac(rng, 1) for _ in range(rng.randint(1, 2))}
         den = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
@@ -318,6 +321,14 @@ def test_twist_scales_coefficient_i_by_l_to_the_k_i():
         for i in range(-4, 20):
             assert twisted.coefficient(i) == series.coefficient(i).mul_lpow(k * i), (num, den, k, i)
         assert twist(twisted, -k) == series
+        other = random_series(partner, 4, lambda r: random_motive_frac(r, 1))
+        j = partner.randint(-3, 3)
+        assert twist(hadamard(other, series), j + k) == hadamard(twist(other, j), twisted)
+        lifted = twist(other, k)
+        sums, acc = prefix_sums(lifted), MotiveFrac.zero()
+        for i in range(15):
+            acc = acc + lifted.coefficient(i)
+            assert sums.coefficient(i) == acc, (other, k, i)
 
 
 def test_faulhaber_matches_power_sums():
